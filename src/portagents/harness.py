@@ -339,6 +339,7 @@ def _run_rl_pass(
     a_final_prev = uniform_weights(n)
     r_prev = 0.0
     if observer is not None:
+        observer.reset()
         sig_prev = observer.neutral_signal()
     else:
         sig_prev = RiskSignal(config.observer.base_risk, np.zeros(N_MARKET_FEATURES))

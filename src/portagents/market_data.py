@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,8 @@ def _parse_price(text: str, line_no: int, column: str) -> float:
         raise NonPositivePrice(
             f"line {line_no}: cannot parse {column} value {text!r}"
         ) from exc
+    if not math.isfinite(value):
+        raise NonPositivePrice(f"line {line_no}: {column} = {value} is not finite")
     if not value > 0.0:
         raise NonPositivePrice(f"line {line_no}: {column} = {value} is not positive")
     return value

@@ -211,6 +211,9 @@ class DcObserver:
     def neutral_signal(self) -> RiskSignal:
         return RiskSignal(sigma_s=self.base_risk, v_m=np.zeros(N_MARKET_FEATURES))
 
+    def reset(self) -> None:
+        """Start a pass: the DC observer keeps no state between steps."""
+
     def observe(self, history) -> RiskSignal:
         """Neutral until the lookback window fills, then the DC mapping."""
         if len(history) < self.config.lookback:
@@ -252,6 +255,11 @@ class MlpObserver:
 
     def neutral_signal(self) -> RiskSignal:
         return RiskSignal(sigma_s=self.base_risk, v_m=np.zeros(N_MARKET_FEATURES))
+
+    def reset(self) -> None:
+        """Start a pass: forget the previous pass's last prediction, which
+        a checkpoint does not hold."""
+        self.last_prediction = None
 
     def _features(self, growths: np.ndarray) -> np.ndarray:
         w = self.config.feature_window

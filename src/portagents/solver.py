@@ -31,6 +31,42 @@ def simplex_repair(v) -> np.ndarray:
     return np.maximum(x - tau, 0.0)
 
 
+def simplex_repair_rows(X) -> np.ndarray:
+    """Row-wise ``simplex_repair`` of an (m, n) matrix, bit-identical per row.
+
+    Each row takes the same steps as the scalar projection (sort descending,
+    ``cumsum - 1``, the last index where ``u - css / idx > 0``, then ``tau``),
+    done for all rows at once.
+    """
+    x = np.asarray(X, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise DimensionMismatch(f"expected an (m, n) matrix, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("cannot project a non-finite vector")
+    m, n = x.shape
+    u = np.sort(x, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    idx = np.arange(1, n + 1)
+    cond = u - css / idx > 0
+    rho = n - np.argmax(cond[:, ::-1], axis=1)
+    rows = np.arange(m)
+    if not cond[rows, rho - 1].all():  # entries near 1e16 swamp the 1.0 in css
+        raise NonFiniteInput("entries too large to project in float64")
+    tau = css[rows, rho - 1] / rho
+    return np.maximum(x - tau[:, None], 0.0)
+
+
+def _mutation_indices(rng: np.random.Generator, population: int):
+    """r1, r2, r3 for every individual i: distinct and never i.
+
+    Row i of a uniform (P, P) key matrix with an infinite diagonal sorts into
+    a random order of the other individuals; its first three are drawn.
+    """
+    keys = rng.random((population, population))
+    np.fill_diagonal(keys, np.inf)
+    return np.argsort(keys, axis=1)[:, :3].T
+
+
 @dataclass
 class DeResult:
     x: np.ndarray
@@ -57,6 +93,13 @@ def differential_evolution(
     Candidates are simplex-repaired before every evaluation; ``budget`` caps
     the number of objective evaluations; ``early_stop(x, value)`` may end the
     search at a generation boundary. Same seed, same trajectory.
+
+    Each generation is one DE/rand/1/bin step for the whole population: the
+    mutation indices r1, r2, r3 (distinct, never i) are the first three
+    columns of the argsort of a (P, P) uniform key matrix with an infinite
+    diagonal, then come the (P, n) crossover mask and the P jrand genes; all
+    trials are projected in one ``simplex_repair_rows`` call and evaluated in
+    one ``objective`` call.
     """
     if population < 4:
         raise BudgetTooSmall(f"population {population} must be >= 4 for DE/rand/1")
@@ -66,9 +109,8 @@ def differential_evolution(
 
     pop = rng.dirichlet(np.ones(n), size=population)
     if init is not None:
-        seeds = np.atleast_2d(np.asarray(init, dtype=np.float64))
-        for i in range(min(len(seeds), population)):
-            pop[i] = simplex_repair(seeds[i])
+        seeds = np.atleast_2d(np.asarray(init, dtype=np.float64))[:population]
+        pop[: len(seeds)] = simplex_repair_rows(seeds)
     values = np.asarray(objective(pop), dtype=np.float64)
     evals = population
 
@@ -76,19 +118,18 @@ def differential_evolution(
     best_x, best_v = pop[best_i].copy(), float(values[best_i])
     trace = [best_v]
     generations = 0
+    rows = np.arange(population)
 
     while evals + population <= budget:
         if early_stop is not None and early_stop(best_x, best_v):
             break
-        trials = np.empty_like(pop)
-        for i in range(population):
-            choices = [j for j in range(population) if j != i]
-            r1, r2, r3 = rng.choice(choices, size=3, replace=False)
-            mutant = pop[r1] + f * (pop[r2] - pop[r3])
-            cross = rng.random(n) < cr
-            cross[rng.integers(n)] = True  # jrand: keep at least one mutant gene
-            trial = np.where(cross, mutant, pop[i])
-            trials[i] = simplex_repair(trial)
+        # one draw of each kind per generation, whatever the budget, so a
+        # larger budget replays a smaller one's generations before going on
+        r1, r2, r3 = _mutation_indices(rng, population)
+        cross = rng.random((population, n)) < cr
+        cross[rows, rng.integers(n, size=population)] = True  # jrand: keep at least one mutant gene
+        mutant = pop[r1] + f * (pop[r2] - pop[r3])
+        trials = simplex_repair_rows(np.where(cross, mutant, pop))
         trial_values = np.asarray(objective(trials), dtype=np.float64)
         evals += population
         improved = trial_values <= values

@@ -89,6 +89,22 @@ def test_train_then_backtest_from_checkpoint(config_path, tmp_path, capsys):
         assert payload[key] == value
 
 
+@pytest.mark.parametrize("kind", ["dc", "mlp"])
+def test_inprocess_backtest_equals_checkpoint_backtest(kind, tmp_path):
+    # observer state left over from training must not reach the backtest
+    config = {**CONFIG, "observer": {**CONFIG["observer"], "kind": kind}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    cp = str(path)
+    assert main(["train", "--config", cp, "--out", str(tmp_path / "train")]) == 0
+    ckpt = str(tmp_path / "train" / "checkpoint.bin")
+    assert main(["backtest", "--config", cp, "--checkpoint", ckpt, "--out", str(tmp_path / "ckpt")]) == 0
+    assert main(["backtest", "--config", cp, "--out", str(tmp_path / "inproc")]) == 0
+    from_checkpoint = json.loads(read_bytes(tmp_path / "ckpt" / "backtest_report.json"))
+    in_process = json.loads(read_bytes(tmp_path / "inproc" / "backtest_report.json"))
+    assert in_process == from_checkpoint
+
+
 def test_backtest_baseline_strategy(config_path, tmp_path):
     out = tmp_path / "bt"
     code = main(
@@ -171,6 +187,21 @@ def test_exit_code_3_on_data_errors(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 3
+
+
+def test_exit_code_3_on_non_finite_close(tmp_path, capsys):
+    lines = ["date,asset,open,high,low,close"]
+    for day in range(1, 4):
+        for asset, close in (("AAA", 100.0 + day), ("BBB", "inf" if day == 2 else 50.0)):
+            lines.append(f"2020-01-0{day},{asset},{close},{close},{close},{close}")
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**CONFIG, "data": {"file": str(csv_path)}}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_is_parser_error(config_path):

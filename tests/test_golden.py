@@ -1,0 +1,65 @@
+"""Golden fixture: SHA-256 of the reports that `compare` and `ablate` write.
+
+A change to any number in these reports changes a hash. Only a change that
+says it changes numbers may update GOLDEN; print the current hashes with
+``PYTHONPATH=src python tests/test_golden.py``. Taken on x86-64, Python 3.11,
+numpy 2.4.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from portagents.cli import main
+from test_acceptance import PIPELINE_CONFIG
+
+MLP_CONFIG = {**PIPELINE_CONFIG, "observer": {**PIPELINE_CONFIG["observer"], "kind": "mlp"}}
+
+# (config name, command) -> config
+RUNS = {
+    ("pipeline", "compare"): PIPELINE_CONFIG,
+    ("pipeline", "ablate"): PIPELINE_CONFIG,
+    ("triple-mlp", "compare"): MLP_CONFIG,
+}
+
+# (config name, command) -> {report file: sha256}
+GOLDEN = {
+    ("pipeline", "compare"): {
+        "comparison.csv": "bdc01e5038e8b6f7d0dd5a5b43b1d6ae1e8db6dd6ff6a5595403854d0cafca64",
+        "comparison.json": "52e6e69ee770031aad1dcec3920c42cc5d86e560493eee9390d114b04a84ece5",
+    },
+    ("pipeline", "ablate"): {
+        "ablation.csv": "37fdc85ca1a0c631b4482e1d8dc00c65826575cf9e0ee6f14c5b41e5798d8486",
+        "ablation.json": "651b21617a2842458f15256359f45ead81cc252f472fa9e66cb0f05803f7e7a3",
+    },
+    ("triple-mlp", "compare"): {
+        "comparison.csv": "45713c6e252205ec3ae54241b45e6514c26150ad3f96bd1438c6636e36c7ddac",
+        "comparison.json": "9346bfda637b1b1ca8fe1290fd64108c57ce577e1b1a06c5bcf37a097b0c5f36",
+    },
+}
+
+
+def report_hashes(name: str, command: str, work: Path) -> dict:
+    config = work / f"{name}.json"
+    config.write_text(json.dumps(RUNS[name, command]))
+    out = work / name / command
+    assert main([command, "--config", str(config), "--out", str(out), "--formats", "json,csv"]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name,command", list(RUNS))
+def test_reports_match_golden_hashes(name, command, tmp_path):
+    assert report_hashes(name, command, tmp_path) == GOLDEN[name, command]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        hashes = {run: report_hashes(*run, Path(work)) for run in RUNS}
+    for (name, command), files in hashes.items():
+        print(f'    ("{name}", "{command}"): {{')
+        for file, digest in files.items():
+            print(f'        "{file}": "{digest}",')
+        print("    },")

@@ -61,6 +61,14 @@ def test_load_rejects_zero_close(tmp_path):
         load_ohlcv(path, LoadConfig())
 
 
+@pytest.mark.parametrize("close", ["inf", "-inf", "nan"])
+def test_load_rejects_non_finite_close(tmp_path, close):
+    rows = [row("2020-01-01", "AAA", 100.0), f"2020-01-02,AAA,100,100,100,{close}\n"]
+    path = write_long_csv(tmp_path / "p.csv", rows)
+    with pytest.raises(NonPositivePrice, match="not finite"):
+        load_ohlcv(path, LoadConfig())
+
+
 def test_load_rejects_missing_column(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("date,asset,open,high,low\n2020-01-01,AAA,1,1,1\n")

@@ -4,15 +4,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 
 from helpers import random_psd, random_simplex
-from portagents.errors import BudgetTooSmall, NonFiniteInput
+from portagents.errors import BudgetTooSmall, DimensionMismatch, NonFiniteInput
+from portagents.market_data import returns_matrix, rolling_covariance, synth_from_spec
 from portagents.metrics import sigma_alpha_value
 from portagents.solver import (
     RiskControlProblem,
+    _mutation_indices,
     differential_evolution,
     propose_control,
     simplex_repair,
+    simplex_repair_rows,
 )
 
 
@@ -65,6 +72,61 @@ def test_projection_rejects_non_finite():
         simplex_repair(np.array([1.0, np.inf]))
 
 
+# ties, n = 1 and magnitudes up to 1e12 alongside ordinary draws
+ENTRIES = st.one_of(
+    st.floats(-1e12, 1e12),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+)
+MATRICES = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=ENTRIES)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATRICES)
+def test_rows_projection_bit_identical_to_scalar(x):
+    got = simplex_repair_rows(x)
+    assert got.shape == x.shape
+    for row, v in zip(got, x):
+        assert row.tobytes() == simplex_repair(v).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(MATRICES, st.data())
+def test_rows_projection_rejects_non_finite(x, data):
+    i = data.draw(st.integers(0, x.shape[0] - 1))
+    j = data.draw(st.integers(0, x.shape[1] - 1))
+    x[i, j] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    with pytest.raises(NonFiniteInput):
+        simplex_repair_rows(x)
+    with pytest.raises(NonFiniteInput):
+        simplex_repair(x[i])
+
+
+def test_rows_projection_rejects_entries_beyond_float64_precision():
+    with pytest.raises(NonFiniteInput):
+        simplex_repair_rows(np.array([[0.3, 0.7], [1e17, 0.0]]))
+
+
+def test_rows_projection_rejects_bad_shapes():
+    for bad in (np.ones(3), np.ones((2, 0)), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            simplex_repair_rows(bad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([4, 8, 20]), st.integers(0, 2**32 - 1))
+def test_mutation_indices_distinct_and_not_self(population, seed):
+    r1, r2, r3 = _mutation_indices(np.random.default_rng(seed), population)
+    i = np.arange(population)
+    for r in (r1, r2, r3):
+        assert r.shape == (population,)
+        assert np.all((0 <= r) & (r < population))
+        assert np.all(r != i)
+    assert np.all((r1 != r2) & (r1 != r3) & (r2 != r3))
+
+
 # -- differential evolution -------------------------------------------------------
 
 
@@ -112,6 +174,14 @@ def test_de_budget_monotone_across_reruns():
         for b in (60, 120, 240, 480)
     ]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+def test_de_larger_budget_replays_smaller_one():
+    # a generation draws the same randomness whatever the budget
+    obj = lambda xs: np.linalg.norm(xs - np.array([0.5, 0.3, 0.1, 0.1]), axis=1)
+    short = differential_evolution(obj, 4, budget=100, seed=5)
+    long = differential_evolution(obj, 4, budget=400, seed=5)
+    np.testing.assert_array_equal(long.trace[: short.trace.size], short.trace)
 
 
 def test_de_rejects_bad_budget():
@@ -235,3 +305,55 @@ def test_control_hard_mode_stops_at_boundary():
     assert hard.feasible and full.feasible
     assert hard.evaluations < full.evaluations
     assert full.achieved_risk <= hard.achieved_risk + 1e-12
+
+
+# -- independent oracle ------------------------------------------------------------
+
+
+def slsqp_min_risk(cov, starts):
+    """min ||Sigma a||_2 over the simplex by SLSQP on the convex ||Sigma a||^2."""
+    q = cov.T @ cov
+    n = cov.shape[0]
+    best = np.inf
+    for x0 in starts:
+        res = minimize(
+            lambda a: a @ q @ a,
+            x0,
+            jac=lambda a: 2.0 * q @ a,
+            method="SLSQP",
+            bounds=[(0.0, 1.0)] * n,
+            constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0,
+                          "jac": lambda a: np.ones(n)}],
+            options={"ftol": 1e-20, "maxiter": 500},
+        )
+        a = np.clip(res.x, 0.0, None)
+        best = min(best, float(np.linalg.norm(cov @ (a / a.sum()))))
+    return best
+
+
+def test_de_close_to_slsqp_oracle_on_crash_market():
+    # the crash-overlay shape: 5 assets, 21-day rolling covariances of the
+    # ablation's calm-then-crash market, budget 300, population 20
+    spec = {
+        "assets": 5,
+        "seed": 77,
+        "regimes": [
+            {"length": 600, "drift": 0.0004, "vol": 0.008, "corr": 0.3},
+            {"length": 150, "drift": -0.002, "vol": 0.035, "corr": 0.6},
+        ],
+    }
+    returns = returns_matrix(synth_from_spec(spec))
+    rng = np.random.default_rng(5)
+    ratios = []
+    for k, day in enumerate(np.linspace(30, 745, 50).astype(int)):
+        cov = rolling_covariance(returns, t=int(day), k=21).matrix
+        a_rl = random_simplex(rng, 5)
+        result = propose_control(
+            RiskControlProblem(a_rl, cov, sigma_s=0.0, mu=0.0),
+            budget=300, population=20, seed=k, sigma_mode="target",
+        )
+        ratios.append(result.achieved_risk / slsqp_min_risk(cov, [a_rl, np.full(5, 0.2)]))
+    ratios = np.array(ratios)
+    assert ratios.min() > 1.0 - 1e-3  # the oracle really is a lower bound
+    assert np.sum(ratios > 1.05) <= 1
+    assert ratios.mean() < 1.01
