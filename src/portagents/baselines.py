@@ -12,10 +12,11 @@ selection for CORN.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientHistory
+from .errors import InsufficientHistory, NonFiniteInput
 from .metrics import check_weights, uniform_weights
-from .solver import simplex_repair
+from .solver import simplex_repair, simplex_repair_unchecked
 
 
 def crp_weights(n_assets: int) -> np.ndarray:
@@ -110,39 +111,64 @@ def rmr_update(
 
 
 def log_wealth_weights(relatives_set, iterations: int = 500, step: float = 0.1) -> np.ndarray:
-    """Maximise sum log(b.x) over the simplex by projected gradient ascent."""
+    """Maximise sum log(b.x) over the simplex by projected gradient ascent.
+
+    The input is validated once; each of the ``iterations`` steps from the
+    uniform portfolio then projects through ``simplex_repair_unchecked``.
+    """
     x = np.asarray(relatives_set, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise InsufficientHistory("need a (m, N) set of relatives")
-    b = uniform_weights(x.shape[1])
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("relatives contain non-finite values")
+    m, n = x.shape
+    b = uniform_weights(n)
+    idx = np.arange(1, n + 1)
+    share = np.empty_like(x)
     for _ in range(iterations):
-        growth = x @ b
-        grad = (x / growth[:, None]).sum(axis=0) / x.shape[0]
-        b = simplex_repair(b + step * grad)
+        np.divide(x, (x @ b)[:, None], out=share)
+        b = simplex_repair_unchecked(b + step * (share.sum(axis=0) / m), idx)
     return b
 
 
 def corn_weights(relatives_history, window: int = 5, rho: float = 0.1) -> np.ndarray:
     """Correlation-driven selection: find past windows correlated with the
     current one (>= rho), then bet the log-optimal portfolio over the days
-    that followed them. Uniform when nothing matches."""
-    x = np.asarray(relatives_history, dtype=np.float64)
+    that followed them. Uniform when nothing matches.
+
+    All past windows are scanned at once, as the rows of a strided
+    (k, window * N) view of the flattened history. Windows whose std is below
+    1e-12 are skipped. Every other row's Pearson correlation with the current
+    window takes the steps of ``np.corrcoef``: centre, dot, divide by the
+    square roots of the diagonal, clip to [-1, 1]. Its dots are summed in
+    another order than ``np.corrcoef``'s, so a row within 1e-9 of ``rho``,
+    far more than that rounding, is decided by ``np.corrcoef`` itself: the
+    matches are exactly those of a scan that calls it once per window.
+    """
+    x = np.ascontiguousarray(relatives_history, dtype=np.float64)
     t, n = x.shape
     if t < 2 * window + 1:
         raise InsufficientHistory(f"need at least {2 * window + 1} days, got {t}")
-    current = x[-window:].ravel()
-    matches = []
-    for end in range(window, t - window + 1):
-        past = x[end - window : end].ravel()
-        sd_p, sd_c = past.std(), current.std()
-        if sd_p < 1e-12 or sd_c < 1e-12:
-            continue
-        corr = float(np.corrcoef(past, current)[0, 1])
-        if corr >= rho:
-            matches.append(x[end])  # the day that followed the matched window
-    if not matches:
+    k = t - 2 * window + 1  # past windows x[s : s + window] for s < k, followed by x[s + window]
+    windows = sliding_window_view(x.ravel(), window * n)[::n]
+    past, current = windows[:k], windows[-1]
+    rows = np.flatnonzero(past.std(axis=1) >= 1e-12)
+    if current.std() < 1e-12 or rows.size == 0:
         return uniform_weights(n)
-    return log_wealth_weights(np.stack(matches))
+    pc = past[rows]
+    pc -= pc.mean(axis=1, keepdims=True)
+    cc = current - current.mean()
+    scale = 1.0 / (window * n - 1)
+    corr = (pc @ cc) * scale
+    corr /= np.sqrt(np.einsum("ij,ij->i", pc, pc) * scale)
+    corr /= np.sqrt((cc @ cc) * scale)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    matched = corr >= rho
+    for i in np.flatnonzero(np.abs(corr - rho) <= 1e-9):
+        matched[i] = float(np.corrcoef(past[rows[i]], current)[0, 1]) >= rho
+    if not matched.any():
+        return uniform_weights(n)
+    return log_wealth_weights(x[rows[matched] + window])
 
 
 # -- strategy drivers ---------------------------------------------------------
@@ -240,14 +266,18 @@ class Corn(Strategy):
 
     def reset(self, n_assets):
         super().reset(n_assets)
-        self.history: list[np.ndarray] = []
+        self._rows = np.empty((64, n_assets))  # capacity doubles as days arrive
+        self.days = 0
 
     def step(self, relatives):
-        self.history.append(np.asarray(relatives, dtype=np.float64))
-        if len(self.history) < 2 * self.window + 1:
+        if self.days == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+        self._rows[self.days] = relatives
+        self.days += 1
+        if self.days < 2 * self.window + 1:
             return uniform_weights(self.n)
         self.weights = corn_weights(
-            np.stack(self.history), window=self.window, rho=self.rho
+            self._rows[: self.days], window=self.window, rho=self.rho
         )
         return self.weights
 

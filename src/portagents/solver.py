@@ -15,6 +15,30 @@ from .metrics import sigma_alpha_value
 _MU_FACTOR_FLOOR = 0.01
 
 
+def simplex_repair_unchecked(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Core of ``simplex_repair``, without its checks, for callers that
+    validate their input once and then project many times.
+
+    ``x`` is a 1-D float64 vector and ``idx`` is ``np.arange(1, x.size + 1)``.
+    Sort descending, ``cumsum - 1``, find the last index where
+    ``u - css / idx > 0`` (an argmax on the reversed mask), threshold at
+    ``tau``. Raises ``NonFiniteInput`` when no index qualifies: NaN or inf
+    entries, or entries near 1e16 that swamp the 1.0 in ``css``.
+    """
+    u = x.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    css -= 1.0
+    # u > c exactly when u - c > 0: with gradual underflow the difference of
+    # two distinct doubles never rounds to zero
+    cond = u > css / idx
+    rho = idx.size - int(cond[::-1].argmax())
+    if not cond[rho - 1]:
+        raise NonFiniteInput("cannot project a non-finite or too large vector")
+    return np.maximum(x - css[rho - 1] / rho, 0.0)
+
+
 def simplex_repair(v) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort + threshold)."""
     x = np.asarray(v, dtype=np.float64)
@@ -22,13 +46,7 @@ def simplex_repair(v) -> np.ndarray:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("cannot project a non-finite vector")
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, x.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(x - tau, 0.0)
+    return simplex_repair_unchecked(x, np.arange(1, x.size + 1))
 
 
 def simplex_repair_rows(X) -> np.ndarray:

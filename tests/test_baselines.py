@@ -1,7 +1,12 @@
 """Baseline portfolio rules: frozen hand cases plus driver-level invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from portagents.baselines import (
     REGISTRY,
@@ -16,8 +21,8 @@ from portagents.baselines import (
     pamr_update,
     rmr_update,
 )
-from portagents.errors import InsufficientHistory
-from portagents.metrics import check_weights
+from portagents.errors import DimensionMismatch, InsufficientHistory, NonFiniteInput
+from portagents.metrics import check_weights, uniform_weights
 
 
 def test_crp_uniform():
@@ -180,6 +185,156 @@ def test_corn_symmetric_under_asset_permutation():
 def test_corn_insufficient_history():
     with pytest.raises(InsufficientHistory):
         corn_weights(np.ones((4, 2)), window=2)
+
+
+# -- CORN against the per-window reference ---------------------------------------
+#
+# The functions below are the original per-window CORN scan, its log-optimal
+# solve and the projection it called, kept verbatim as oracles: the batched
+# scan and the lean solve must return the same bytes.
+
+
+def simplex_repair_reference(v) -> np.ndarray:
+    """Euclidean projection onto the probability simplex (sort + threshold)."""
+    x = np.asarray(v, dtype=np.float64)
+    if x.ndim != 1 or x.size < 1:
+        raise DimensionMismatch(f"expected a 1-D vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("cannot project a non-finite vector")
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, x.size + 1)
+    cond = u - css / idx > 0
+    rho = idx[cond][-1]
+    tau = css[rho - 1] / rho
+    return np.maximum(x - tau, 0.0)
+
+
+def log_wealth_weights_reference(relatives_set, iterations: int = 500, step: float = 0.1) -> np.ndarray:
+    """Maximise sum log(b.x) over the simplex by projected gradient ascent."""
+    x = np.asarray(relatives_set, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise InsufficientHistory("need a (m, N) set of relatives")
+    b = uniform_weights(x.shape[1])
+    for _ in range(iterations):
+        growth = x @ b
+        grad = (x / growth[:, None]).sum(axis=0) / x.shape[0]
+        b = simplex_repair_reference(b + step * grad)
+    return b
+
+
+def corn_weights_reference(relatives_history, window: int = 5, rho: float = 0.1) -> np.ndarray:
+    """Correlation-driven selection: find past windows correlated with the
+    current one (>= rho), then bet the log-optimal portfolio over the days
+    that followed them. Uniform when nothing matches."""
+    x = np.asarray(relatives_history, dtype=np.float64)
+    t, n = x.shape
+    if t < 2 * window + 1:
+        raise InsufficientHistory(f"need at least {2 * window + 1} days, got {t}")
+    current = x[-window:].ravel()
+    matches = []
+    for end in range(window, t - window + 1):
+        past = x[end - window : end].ravel()
+        sd_p, sd_c = past.std(), current.std()
+        if sd_p < 1e-12 or sd_c < 1e-12:
+            continue
+        corr = float(np.corrcoef(past, current)[0, 1])
+        if corr >= rho:
+            matches.append(x[end])  # the day that followed the matched window
+    if not matches:
+        return uniform_weights(n)
+    return log_wealth_weights_reference(np.stack(matches))
+
+
+def no_runtime_warnings(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return fn(*args, **kwargs)
+
+
+@st.composite
+def corn_cases(draw):
+    """A history with, by turns, nothing planted, a constant window (the std
+    guard) or an exact copy of the current window (corr = 1), and a rho that
+    is often an edge value."""
+    n = draw(st.integers(1, 6))
+    window = draw(st.integers(1, 5))
+    t = draw(st.integers(2 * window + 1, 2 * window + 25))
+    x = draw(arrays(np.float64, (t, n), elements=st.floats(0.5, 1.5)))
+    planted = draw(st.sampled_from(["none", "constant", "repeat"]))
+    s = draw(st.integers(0, t - 2 * window))
+    if planted == "constant":
+        x[s : s + window] = draw(st.floats(0.5, 1.5))
+    elif planted == "repeat":
+        x[s : s + window] = x[-window:]
+    rho = draw(st.sampled_from([-1.0, 0.0, 0.1, 1.0]) | st.floats(-1.0, 1.0))
+    return x, window, rho
+
+
+@settings(max_examples=300, deadline=None)
+@given(corn_cases())
+def test_corn_bit_identical_to_reference(case):
+    x, window, rho = case
+    got = no_runtime_warnings(corn_weights, x, window=window, rho=rho)
+    assert got.tobytes() == corn_weights_reference(x, window=window, rho=rho).tobytes()
+
+
+def test_corn_planted_cases_hit_each_branch():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.9, 1.1, size=(12, 3))
+    x[-2:] = x[2:4]  # the current window repeats the window that ends on day 3
+    repeat = corn_weights(x, window=2, rho=1.0)
+    assert repeat.tobytes() == corn_weights_reference(x, window=2, rho=1.0).tobytes()
+    assert not np.array_equal(repeat, uniform_weights(3))  # corr = 1 matched at rho = 1
+    constant = np.ones((12, 3))
+    constant[-1] = [1.1, 0.9, 1.0]
+    got = no_runtime_warnings(corn_weights, constant, window=2, rho=-1.0)
+    assert got.tobytes() == uniform_weights(3).tobytes()  # every past window is constant
+
+
+def test_corn_rows_at_rho_decided_as_the_reference():
+    # The batched correlations differ from np.corrcoef's in the last bits on
+    # most rows, so a rho equal to (or one ulp above) a row's np.corrcoef value
+    # tells the two apart unless rows that close to rho are decided exactly.
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0.9, 1.1, size=(20, 4))
+    current = x[-3:].ravel()
+    for end in range(3, 18, 2):
+        exact = float(np.corrcoef(x[end - 3 : end].ravel(), current)[0, 1])
+        for rho in (exact, np.nextafter(exact, 2.0)):
+            got = corn_weights(x, window=3, rho=rho)
+            assert got.tobytes() == corn_weights_reference(x, window=3, rho=rho).tobytes(), (end, rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 10), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(0.5, 1.5))
+    )
+)
+def test_log_wealth_bit_identical_to_reference(x):
+    got = no_runtime_warnings(log_wealth_weights, x, iterations=100)
+    assert got.tobytes() == log_wealth_weights_reference(x, iterations=100).tobytes()
+
+
+def test_corn_driver_bit_identical_at_wide_shape():
+    # 20 correlated assets over 300 days, as in the 20-asset benchmark's test pass
+    rng = np.random.default_rng(101)
+    corr = np.full((20, 20), 0.3)
+    np.fill_diagonal(corr, 1.0)
+    z = rng.standard_normal((300, 20)) @ np.linalg.cholesky(corr).T
+    relatives = np.exp(rng.uniform(0.007, 0.014, 20) * z)
+    s = make_strategy("corn")
+    s.reset(20)
+    for day, x in enumerate(relatives, start=1):
+        got = no_runtime_warnings(s.step, x)
+        if day >= 11:
+            assert got.tobytes() == corn_weights_reference(relatives[:day]).tobytes(), day
+
+
+def test_log_wealth_rejects_non_finite():
+    with pytest.raises(NonFiniteInput):
+        log_wealth_weights([[1.0, np.nan]])
 
 
 # -- strategy drivers -----------------------------------------------------------------

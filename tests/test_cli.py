@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import portagents
 from portagents.cli import main
 from portagents.harness import RunConfig, backtest, observer_from_state
 from portagents.market_data import load_ohlcv
@@ -215,3 +219,12 @@ def test_log_level_env_var_respected(config_path, tmp_path, monkeypatch):
     assert main(["synth", "--config", config_path, "--out", str(out)]) == 0
     monkeypatch.setenv("PORTAGENTS_LOG_LEVEL", "not-a-level")
     assert main(["synth", "--config", config_path, "--out", str(out)]) == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second at start-up; the package needs only scipy.special
+    src = str(Path(portagents.__file__).resolve().parents[1])
+    code = "import sys, portagents.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,14 +5,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
 
 from helpers import random_psd, random_simplex
 from portagents.errors import DegenerateSamples, DimensionMismatch, ZeroVolatility
 from portagents.metrics import (
     PerformanceReport,
+    _mid_ranks,
     annual_return,
     build_report,
-    exhaustive_rank_sum_p,
     long_term_volatility,
     max_drawdown,
     portfolio_value,
@@ -200,6 +203,46 @@ def test_mdd_scale_invariant():
 
 
 # -- Wilcoxon rank-sum -------------------------------------------------------
+
+
+def exhaustive_rank_sum_p(sample_a, sample_b) -> float:
+    """Brute-force two-sided p by enumerating every group assignment.
+
+    Reference oracle for small samples, ranked by scipy; cost is C(n+m, n).
+    """
+    a = np.asarray(sample_a, dtype=np.float64)
+    b = np.asarray(sample_b, dtype=np.float64)
+    pooled = np.concatenate([a, b])
+    ranks = sps.rankdata(pooled)
+    n = a.size
+    w_obs = ranks[:n].sum()
+    mu = n * (n + b.size + 1) / 2.0
+    dev = abs(w_obs - mu)
+    hits = 0
+    count = 0
+    for subset in itertools.combinations(range(pooled.size), n):
+        count += 1
+        if abs(ranks[list(subset)].sum() - mu) >= dev - 1e-9:
+            hits += 1
+    return hits / count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.3, 1.0, 7.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=60))
+def test_mid_ranks_equal_scipy_rankdata(values):
+    v = np.asarray(values, dtype=np.float64)
+    assert _mid_ranks(v).tobytes() == sps.rankdata(v).tobytes()
+
+
+def test_wilcoxon_normal_branch_matches_scipy_mannwhitneyu():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        a = np.round(rng.normal(0.0, 1.0, size=int(rng.integers(8, 60))), 1)  # rounding makes ties
+        b = np.round(rng.normal(rng.uniform(-1, 1), 1.0, size=int(rng.integers(8, 60))), 1)
+        result = wilcoxon_rank_sum(a, b)
+        assert not result.exact
+        want = sps.mannwhitneyu(a, b, use_continuity=True, method="asymptotic").pvalue
+        assert result.p_value == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 def test_wilcoxon_identical_samples():

@@ -72,6 +72,12 @@ def test_projection_rejects_non_finite():
         simplex_repair(np.array([1.0, np.inf]))
 
 
+def test_projection_rejects_entries_beyond_float64_precision():
+    # u - 1 rounds to u, so no index passes the threshold test
+    with pytest.raises(NonFiniteInput):
+        simplex_repair([1e17, 0.0])
+
+
 # ties, n = 1 and magnitudes up to 1e12 alongside ordinary draws
 ENTRIES = st.one_of(
     st.floats(-1e12, 1e12),
