@@ -77,14 +77,12 @@ def cmd_backtest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if strategy is not None and harness._baseline_name(strategy) in baselines.REGISTRY:
-        kind, cfg2 = harness.resolve_strategy(strategy, cfg)
-        policy = baselines.make_strategy(harness._baseline_name(strategy))
-        result = harness.backtest(policy, series, cfg2)
-        label = strategy
+    kind = None
+    if strategy is not None:
+        kind, cfg, name = harness.resolve_strategy(strategy, cfg)
+    if kind == "baseline":
+        result = harness.backtest(baselines.make_strategy(name), series, cfg)
     else:
-        if strategy is not None:
-            _, cfg = harness.resolve_strategy(strategy, cfg)
         if args.checkpoint:
             agent, extra = load_agent(args.checkpoint)
             observer = harness.observer_from_state(
@@ -96,7 +94,7 @@ def cmd_backtest(args) -> int:
         result = harness.backtest(
             agent, series, cfg, observer=observer, tier=cfg.tier
         )
-        label = strategy or cfg.tier
+    label = strategy or cfg.tier
 
     payload = result.to_json_dict()
     payload["strategy"] = label

@@ -42,10 +42,6 @@ class InsufficientHistory(DataError):
     pass
 
 
-class InsufficientData(DataError):
-    pass
-
-
 class InvalidRegime(ConfigError):
     pass
 

@@ -10,6 +10,7 @@ serialisation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -46,7 +47,6 @@ from .observer import (
     ObserverRecord,
     RiskSignal,
     make_observer,
-    update_profile,
 )
 from .rl import (
     ReplayBuffer,
@@ -258,21 +258,12 @@ class CallTrace:
 
 @dataclass
 class PassResult:
-    """Everything one pass through a segment produces."""
+    """What the callers read of one pass through a segment."""
 
     equity: np.ndarray  # len steps+1, starts at c0
-    growths: np.ndarray
-    jsds: np.ndarray
     risks: np.ndarray  # sigma_alpha(a_final) per step (empty if not tracked)
     adjustments: np.ndarray  # sum |a_ctrl| per step
-    daily_returns: np.ndarray
     j: float
-    start_day: int
-    end_day: int
-
-
-def _episode_j(growths, jsds, c0, reward: RewardConfig) -> float:
-    return float(episode_reward(growths, jsds, c0, reward).j)
 
 
 def _env_for_segment(series, config: RunConfig, seg: tuple[int, int], need_risk: bool) -> TradingEnv:
@@ -305,8 +296,8 @@ def _prefill_history(history, series, config, start_day):
         )
 
 
-def _run_rl_pass(
-    agent: Td3Agent,
+def _run_pass(
+    policy,
     series: OhlcvSeries,
     returns: ReturnsMatrix,
     config: RunConfig,
@@ -314,16 +305,21 @@ def _run_rl_pass(
     *,
     tier: str,
     observer=None,
-    explore: bool = False,
-    learn: bool = False,
+    learner: Td3Agent | None = None,
     buffer: ReplayBuffer | None = None,
     profile: list | None = None,
     solver_rng=None,
     trace: CallTrace | None = None,
     episode: int = -1,
 ) -> PassResult:
-    """One full pass over a segment with the per-step agent pipeline."""
-    need_risk = tier != "single" or not learn
+    """One full pass over a segment: ``policy(obs) -> weights`` proposes, and
+    the tier's solver and observer act on it.
+
+    With a ``buffer`` every step is stored; with a ``learner`` the agent also
+    updates from the buffer after every step (training). Risk is tracked on
+    every pass that does not learn, and on every tier above ``single``.
+    """
+    need_risk = tier != "single" or learner is None
     env = _env_for_segment(series, config, seg, need_risk=need_risk)
     k = config.metrics.cov_window
     reward_cfg = config.reward
@@ -346,12 +342,12 @@ def _run_rl_pass(
 
     equity = [env.c0]
     growths, jsds, risks, adjustments = [], [], [], []
-    store = buffer is not None
     done = False
     step_i = 0
-    while not done:
+    while True:
+        # store the tuple the last step completed; the pass ends with one more
         o_t = obs
-        if store:
+        if buffer is not None:
             buffer.push(Transition(o_prev, a_final_prev, a_rl_prev, o_t, r_prev))
             if profile is not None:
                 profile.append(
@@ -370,6 +366,8 @@ def _run_rl_pass(
                     sigma_s=sig_prev.sigma_s,
                     v_m=np.asarray(sig_prev.v_m).copy(),
                 )
+        if done:
+            break
         history.append(o_t)
 
         if tier == "triple":
@@ -382,7 +380,7 @@ def _run_rl_pass(
         else:
             sig = None
 
-        a_rl = agent.select_action(o_t, explore=explore)
+        a_rl = policy(o_t)
         if trace:
             trace.record("rl", episode, step_i, a_rl=a_rl.copy())
 
@@ -420,95 +418,30 @@ def _run_rl_pass(
         if trace:
             trace.record("execute", episode, step_i, growth=growth)
 
-        jsd = jensen_shannon(a_rl, a_final)
-        reward = per_step_reward(growth, a_rl, a_final, reward_cfg)
         equity.append(env.state.capital)
         growths.append(growth)
-        jsds.append(jsd)
+        jsds.append(jensen_shannon(a_rl, a_final))
         adjustments.append(float(np.abs(a_ctrl).sum()))
         if cov is not None:
             risks.append(sigma_alpha_value(a_final, cov, mode=config.metrics.risk_mode))
 
-        if learn and len(buffer) >= max(config.agent.warmup, config.agent.batch_size):
-            agent.update(buffer)
+        if learner is not None and len(buffer) >= max(config.agent.warmup, config.agent.batch_size):
+            learner.update(buffer)
             if trace:
                 trace.record("rl_update", episode, step_i)
 
-        o_prev, a_rl_prev, a_final_prev, r_prev = o_t, a_rl, a_final, reward
+        if buffer is not None:
+            r_prev = per_step_reward(growth, a_rl, a_final, reward_cfg)
+        o_prev, a_rl_prev, a_final_prev = o_t, a_rl, a_final
         if sig is not None:
             sig_prev = sig
         step_i += 1
 
-    if store:
-        buffer.push(Transition(o_prev, a_final_prev, a_rl_prev, obs, r_prev))
-        if profile is not None:
-            profile.append(ObserverRecord(o_prev, obs, sig_prev.sigma_s, sig_prev.v_m))
-        if trace:
-            trace.record(
-                "store",
-                episode,
-                step_i,
-                o_prev_day=o_prev.day,
-                o_day=obs.day,
-                a_final=a_final_prev.copy(),
-                a_rl=a_rl_prev.copy(),
-                reward=r_prev,
-                sigma_s=sig_prev.sigma_s,
-                v_m=np.asarray(sig_prev.v_m).copy(),
-            )
-
-    growths = np.asarray(growths)
-    jsds = np.asarray(jsds)
-    equity = np.asarray(equity)
     return PassResult(
-        equity=equity,
-        growths=growths,
-        jsds=jsds,
+        equity=np.asarray(equity),
         risks=np.asarray(risks),
         adjustments=np.asarray(adjustments),
-        daily_returns=growths - 1.0,
-        j=_episode_j(growths, jsds, env.c0, reward_cfg),
-        start_day=env.start_day,
-        end_day=env.end_day,
-    )
-
-
-def _run_strategy_pass(
-    strategy: baselines.Strategy,
-    series: OhlcvSeries,
-    returns: ReturnsMatrix,
-    config: RunConfig,
-    seg: tuple[int, int],
-    trace: CallTrace | None = None,
-) -> PassResult:
-    """Drive a baseline strategy through a segment."""
-    env = _env_for_segment(series, config, seg, need_risk=True)
-    k = config.metrics.cov_window
-    strategy.reset(env.n_assets)
-    obs = env.reset()
-    equity = [env.c0]
-    growths, risks = [], []
-    done = False
-    while not done:
-        weights = strategy.step(obs.latest_relatives())
-        cov = rolling_covariance(returns, t=obs.day, k=k).matrix
-        obs, growth, done = env.step(weights)
-        equity.append(env.state.capital)
-        growths.append(growth)
-        risks.append(sigma_alpha_value(weights, cov, mode=config.metrics.risk_mode))
-    growths = np.asarray(growths)
-    equity = np.asarray(equity)
-    zeros = np.zeros_like(growths)
-    return PassResult(
-        equity=equity,
-        growths=growths,
-        jsds=zeros,
-        risks=np.asarray(risks),
-        adjustments=zeros,
-        daily_returns=growths - 1.0,
-        j=_episode_j(growths, zeros, env.c0, config.reward),
-        start_day=env.start_day,
-        end_day=env.end_day,
+        j=float(episode_reward(growths, jsds, env.c0, reward_cfg).j),
     )
 
 
@@ -518,7 +451,6 @@ def _run_strategy_pass(
 @dataclass
 class TrainResult:
     agent: Td3Agent  # best checkpoint by validation objective
-    final_agent: Td3Agent
     observer: object
     curves: list[dict]
     best_episode: int
@@ -575,16 +507,15 @@ def train(
     best_episode = 0
     for episode in range(1, config.max_episode + 1):
         records_before = len(profile)
-        result = _run_rl_pass(
-            agent,
+        result = _run_pass(
+            functools.partial(agent.select_action, explore=True),
             series,
             returns,
             config,
             train_seg,
             tier=config.tier,
             observer=observer,
-            explore=True,
-            learn=True,
+            learner=agent,
             buffer=buffer,
             profile=profile,
             solver_rng=solver_rng,
@@ -592,24 +523,21 @@ def train(
             episode=episode,
         )
         if observer is not None:
-            update_profile(
-                observer,
+            observer.update(
                 profile[records_before:],
                 realized_risk=result.risks if result.risks.size else None,
             )
             if trace:
                 trace.record("observer_update", episode, -1)
         if has_val:
-            val = _run_rl_pass(
-                agent,
+            val = _run_pass(
+                functools.partial(agent.select_action, explore=False),
                 series,
                 returns,
                 config,
                 val_seg,
                 tier=config.tier,
                 observer=observer,
-                explore=False,
-                learn=False,
                 solver_rng=np.random.default_rng(solver_seed + episode),
             )
             val_j = val.j
@@ -630,7 +558,6 @@ def train(
     )
     return TrainResult(
         agent=best_agent,
-        final_agent=agent,
         observer=observer,
         curves=curves,
         best_episode=best_episode,
@@ -678,21 +605,26 @@ def backtest(
     if trace:
         trace.record("backtest", -1, -1)
     if isinstance(policy, baselines.Strategy):
-        result = _run_strategy_pass(policy, series, returns, config, seg, trace=trace)
+        policy.reset(series.n_assets)
+
+        def step(obs):
+            return policy.step(obs.latest_relatives())
+
+        tier, observer = "single", None
     else:
-        result = _run_rl_pass(
-            policy,
-            series,
-            returns,
-            config,
-            seg,
-            tier=tier or config.tier,
-            observer=observer,
-            explore=False,
-            learn=False,
-            solver_rng=np.random.default_rng(seed + 104729),
-            trace=trace,
-        )
+        step = functools.partial(policy.select_action, explore=False)
+        tier = tier or config.tier
+    result = _run_pass(
+        step,
+        series,
+        returns,
+        config,
+        seg,
+        tier=tier,
+        observer=observer,
+        solver_rng=np.random.default_rng(seed + 104729),
+        trace=trace,
+    )
     report = build_report(
         result.equity,
         result.risks,
@@ -711,30 +643,27 @@ def backtest(
 # -- compare / ablate ---------------------------------------------------------
 
 
-def resolve_strategy(name: str, config: RunConfig) -> tuple[str, RunConfig]:
-    """Map a strategy name to ("baseline"|tier, adjusted config)."""
+def resolve_strategy(name: str, config: RunConfig) -> tuple[str, RunConfig, str]:
+    """Map a strategy name to ("baseline"|tier, adjusted config, name without
+    its ``-noact`` suffix)."""
     base = name
     cfg = config
     if base.endswith("-noact"):
         base = base[: -len("-noact")]
         cfg = replace(cfg, reward=RewardConfig(cfg.reward.lambda1, 0.0))
     if base in baselines.REGISTRY:
-        return "baseline", cfg
+        return "baseline", cfg, base
     if base in ("single", "td3"):
-        return "single", replace(cfg, tier="single")
+        return "single", replace(cfg, tier="single"), base
     if base == "dual":
-        return "dual", replace(cfg, tier="dual")
+        return "dual", replace(cfg, tier="dual"), base
     if base == "triple":
-        return "triple", replace(cfg, tier="triple")
+        return "triple", replace(cfg, tier="triple"), base
     if base.startswith("triple-"):
         kind = base[len("triple-") :]
         obs_cfg = replace(cfg.observer, kind=kind)
-        return "triple", replace(cfg, tier="triple", observer=obs_cfg)
+        return "triple", replace(cfg, tier="triple", observer=obs_cfg), base
     raise ConfigError(f"unknown strategy {name!r}")
-
-
-def _baseline_name(name: str) -> str:
-    return name[: -len("-noact")] if name.endswith("-noact") else name
 
 
 @dataclass
@@ -793,11 +722,11 @@ def compare(
     pooled: dict[str, np.ndarray] = {}
     curves = {}
     for name in strategies:
-        kind, cfg = resolve_strategy(name, config)
+        kind, cfg, base = resolve_strategy(name, config)
         reports, returns_pool, eq_list, risk_list, adj_list = [], [], [], [], []
         for s in seeds:
             if kind == "baseline":
-                policy = baselines.make_strategy(_baseline_name(name))
+                policy = baselines.make_strategy(base)
                 result = backtest(policy, series, cfg, seg=test_seg, seed=s, trace=trace)
             else:
                 trained = train(cfg, series=series, seed=s, trace=trace)

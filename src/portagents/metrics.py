@@ -252,14 +252,11 @@ class PerformanceReport:
     volatility: float
     sharpe: float
     mean_short_term_risk: float
-    mean_daily_return: float
     risk_free_rate: float
     trading_days: int
 
-    FLAT_FIELDS = ("ar", "mdd", "sharpe", "risk", "vol", "t_days")
-
     def to_flat_dict(self) -> dict:
-        """Fixed-name scalar summary used by JSON/CSV serialisation."""
+        """Fixed-name scalar summary written to the backtest report."""
         return {
             "ar": float(self.annualised_return),
             "mdd": float(self.max_drawdown),
@@ -268,14 +265,6 @@ class PerformanceReport:
             "vol": float(self.volatility),
             "t_days": int(self.trading_days),
         }
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(PerformanceReport.FLAT_FIELDS)
-
-    def to_csv_row(self) -> str:
-        flat = self.to_flat_dict()
-        return ",".join(repr(flat[k]) if k != "t_days" else str(flat[k]) for k in self.FLAT_FIELDS)
 
 
 def build_report(
@@ -301,7 +290,6 @@ def build_report(
         volatility=vol,
         sharpe=sharpe,
         mean_short_term_risk=float(risks.mean()) if risks.size else 0.0,
-        mean_daily_return=float(returns.mean()),
         risk_free_rate=float(risk_free_rate),
         trading_days=int(curve.size - 1),
     )

@@ -311,11 +311,6 @@ class MlpObserver:
         return {"loss": loss, "pairs": len(feats)}
 
 
-def update_profile(observer, records, realized_risk=None) -> dict:
-    """Update an observer from a batch of stored records."""
-    return observer.update(records, realized_risk=realized_risk)
-
-
 def make_observer(config: ObserverConfig, seed=0):
     if config.kind == "dc":
         return DcObserver(config)

@@ -290,14 +290,6 @@ class Td3Agent:
         return copy.deepcopy(self)
 
 
-def select_action(agent: Td3Agent, obs, explore: bool = False) -> np.ndarray:
-    return agent.select_action(obs, explore=explore)
-
-
-def td3_update(agent: Td3Agent, buffer: ReplayBuffer, batch_size: int | None = None) -> dict:
-    return agent.update(buffer, batch_size=batch_size)
-
-
 def save_agent(agent: Td3Agent, path, extra: dict | None = None):
     """Single versioned binary archive of all six nets plus counters/config."""
     header = {

@@ -1,15 +1,18 @@
 """Harness: config plumbing, pipeline ordering, memory contents, reports."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from portagents import baselines
 from portagents.errors import ConfigError, DataSplitTooSmall
 from portagents.harness import (
     ABLATION_ROWS,
     CallTrace,
     RunConfig,
+    _env_for_segment,
     ablate,
     backtest,
     compare,
@@ -22,8 +25,11 @@ from portagents.harness import (
     split_indices,
     train,
 )
+from portagents.market_data import OhlcvSeries, ReturnsMatrix, returns_matrix, rolling_covariance
+from portagents.metrics import sigma_alpha_value
 from portagents.observer import DcObserver, MlpObserver, ObserverConfig
-from portagents.rl import load_agent, per_step_reward
+from portagents.rl import RewardConfig, episode_reward, load_agent, per_step_reward
+from test_acceptance import PIPELINE_CONFIG
 
 
 def small_config(**over):
@@ -245,6 +251,82 @@ def test_backtest_baseline_on_test_split():
         assert key in payload
 
 
+# The baseline pass loop as it stood before baselines ran through the agents'
+# pass loop, kept verbatim (with the result type it returned) as the oracle.
+
+
+@dataclass
+class PassResult:
+    """Everything one pass through a segment produces."""
+
+    equity: np.ndarray  # len steps+1, starts at c0
+    growths: np.ndarray
+    jsds: np.ndarray
+    risks: np.ndarray  # sigma_alpha(a_final) per step (empty if not tracked)
+    adjustments: np.ndarray  # sum |a_ctrl| per step
+    daily_returns: np.ndarray
+    j: float
+    start_day: int
+    end_day: int
+
+
+def _episode_j(growths, jsds, c0, reward: RewardConfig) -> float:
+    return float(episode_reward(growths, jsds, c0, reward).j)
+
+
+def _run_strategy_pass(
+    strategy: baselines.Strategy,
+    series: OhlcvSeries,
+    returns: ReturnsMatrix,
+    config: RunConfig,
+    seg: tuple[int, int],
+    trace: CallTrace | None = None,
+) -> PassResult:
+    """Drive a baseline strategy through a segment."""
+    env = _env_for_segment(series, config, seg, need_risk=True)
+    k = config.metrics.cov_window
+    strategy.reset(env.n_assets)
+    obs = env.reset()
+    equity = [env.c0]
+    growths, risks = [], []
+    done = False
+    while not done:
+        weights = strategy.step(obs.latest_relatives())
+        cov = rolling_covariance(returns, t=obs.day, k=k).matrix
+        obs, growth, done = env.step(weights)
+        equity.append(env.state.capital)
+        growths.append(growth)
+        risks.append(sigma_alpha_value(weights, cov, mode=config.metrics.risk_mode))
+    growths = np.asarray(growths)
+    equity = np.asarray(equity)
+    zeros = np.zeros_like(growths)
+    return PassResult(
+        equity=equity,
+        growths=growths,
+        jsds=zeros,
+        risks=np.asarray(risks),
+        adjustments=zeros,
+        daily_returns=growths - 1.0,
+        j=_episode_j(growths, zeros, env.c0, config.reward),
+        start_day=env.start_day,
+        end_day=env.end_day,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(baselines.REGISTRY))
+def test_baseline_backtest_byte_equal_to_strategy_pass(name):
+    cfg = RunConfig.from_dict(PIPELINE_CONFIG)
+    series = cfg.load_series()
+    test_seg = split_indices(series.n_days, cfg.splits)[2]
+    want = _run_strategy_pass(
+        baselines.make_strategy(name), series, returns_matrix(series), cfg, test_seg
+    )
+    got = backtest(baselines.make_strategy(name), series, cfg)
+    assert np.array_equal(got.report.equity_curve, want.equity)
+    assert np.array_equal(got.risks, want.risks)
+    assert np.array_equal(got.adjustments, want.adjustments)
+
+
 # -- compare / ablate -----------------------------------------------------------------
 
 
@@ -337,19 +419,19 @@ def test_emit_report_byte_deterministic(tmp_path):
 
 def test_resolve_strategy_mapping():
     cfg = small_config()
-    kind, out = resolve_strategy("eg", cfg)
-    assert kind == "baseline" and out.tier == cfg.tier
-    kind, out = resolve_strategy("single", cfg)
+    kind, out, name = resolve_strategy("eg", cfg)
+    assert kind == "baseline" and out.tier == cfg.tier and name == "eg"
+    kind, out, name = resolve_strategy("single", cfg)
     assert kind == "single" and out.tier == "single"
-    kind, out = resolve_strategy("dual", cfg)
+    kind, out, name = resolve_strategy("dual", cfg)
     assert kind == "dual" and out.tier == "dual"
-    kind, out = resolve_strategy("triple-mlp", cfg)
+    kind, out, name = resolve_strategy("triple-mlp", cfg)
     assert kind == "triple" and out.observer.kind == "mlp"
-    kind, out = resolve_strategy("triple-dc-noact", cfg)
+    kind, out, name = resolve_strategy("triple-dc-noact", cfg)
     assert out.reward.lambda2 == 0.0 and out.observer.kind == "dc"
     assert out.reward.lambda1 == cfg.reward.lambda1
-    kind, out = resolve_strategy("pamr-noact", cfg)
-    assert kind == "baseline" and out.reward.lambda2 == 0.0
+    kind, out, name = resolve_strategy("pamr-noact", cfg)
+    assert kind == "baseline" and out.reward.lambda2 == 0.0 and name == "pamr"
     with pytest.raises(ConfigError):
         resolve_strategy("quad", cfg)
 

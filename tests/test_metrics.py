@@ -12,7 +12,6 @@ from scipy import stats as sps
 from helpers import random_psd, random_simplex
 from portagents.errors import DegenerateSamples, DimensionMismatch, ZeroVolatility
 from portagents.metrics import (
-    PerformanceReport,
     _mid_ranks,
     annual_return,
     build_report,
@@ -314,8 +313,6 @@ def test_build_report_fields_and_serialization():
     assert set(flat) == {"ar", "mdd", "sharpe", "risk", "vol", "t_days"}
     parsed = json.loads(json.dumps(flat))
     assert parsed == flat
-    assert PerformanceReport.csv_header() == "ar,mdd,sharpe,risk,vol,t_days"
-    assert report.to_csv_row().count(",") == 5
 
 
 def test_build_report_flat_curve_zero_sharpe():

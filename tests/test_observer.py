@@ -13,7 +13,6 @@ from portagents.observer import (
     dc_detect,
     make_observer,
     observe_dc,
-    update_profile,
 )
 
 
@@ -137,7 +136,7 @@ def test_dc_observer_neutral_while_window_fills():
 def test_dc_observer_recalibrates_to_constant_risk():
     obs = DcObserver(ObserverConfig(kind="dc"))
     records = [ObserverRecord(FakeObs([1.0]), FakeObs([1.0]), 0.01, np.zeros(3))] * 5
-    out = update_profile(obs, records, realized_risk=np.full(40, 0.007))
+    out = obs.update(records, realized_risk=np.full(40, 0.007))
     assert out["updated"]
     assert obs.base_risk == pytest.approx(0.007)
 
@@ -145,7 +144,7 @@ def test_dc_observer_recalibrates_to_constant_risk():
 def test_dc_observer_update_without_risk_is_noop():
     obs = DcObserver(ObserverConfig(kind="dc", base_risk=0.033))
     records = [ObserverRecord(FakeObs([1.0]), FakeObs([1.0]), 0.01, np.zeros(3))]
-    out = update_profile(obs, records)
+    out = obs.update(records)
     assert not out["updated"]
     assert obs.base_risk == pytest.approx(0.033)
 
