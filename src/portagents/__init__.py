@@ -39,7 +39,6 @@ from .metrics import (
     max_drawdown,
     portfolio_value,
     sharpe_ratio,
-    short_term_risk,
     sigma_alpha_value,
     uniform_weights,
     wilcoxon_rank_sum,
@@ -102,7 +101,6 @@ __all__ = [
     "max_drawdown",
     "portfolio_value",
     "sharpe_ratio",
-    "short_term_risk",
     "sigma_alpha_value",
     "uniform_weights",
     "wilcoxon_rank_sum",

@@ -71,7 +71,6 @@ PLOT_SERIES_KINDS = ("equity", "risk", "adjustment")
 class SolverConfig:
     """Wire format of the solver block."""
 
-    optimizer: str = "de"
     population: int = 20
     f: float = 0.8
     cr: float = 0.9
@@ -80,8 +79,6 @@ class SolverConfig:
     sigma_mode: str = "hard"
 
     def __post_init__(self):
-        if self.optimizer != "de":
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.sigma_mode not in ("hard", "target"):
             raise ConfigError(f"unknown sigma_mode {self.sigma_mode!r}")
 
@@ -104,18 +101,14 @@ class EnvBlock:
 @dataclass
 class MetricsBlock:
     risk_free_rate: float = 0.0
-    sigma_beta: float = 0.0
     days_per_year: int = 252
     cov_window: int = 21
-    risk_mode: str = "norm"
 
     def __post_init__(self):
         if self.cov_window < 2:
             raise ConfigError("metrics.cov_window must be >= 2")
         if self.days_per_year < 1:
             raise ConfigError("metrics.days_per_year must be >= 1")
-        if self.risk_mode not in ("norm", "quadratic"):
-            raise ConfigError(f"unknown risk_mode {self.risk_mode!r}")
 
 
 _DEFAULT_STRATEGIES = ("crp", "eg", "olmar", "pamr", "rmr", "corn", "single", "triple")
@@ -423,7 +416,7 @@ def _run_pass(
         jsds.append(jensen_shannon(a_rl, a_final))
         adjustments.append(float(np.abs(a_ctrl).sum()))
         if cov is not None:
-            risks.append(sigma_alpha_value(a_final, cov, mode=config.metrics.risk_mode))
+            risks.append(sigma_alpha_value(a_final, cov))
 
         if learner is not None and len(buffer) >= max(config.agent.warmup, config.agent.batch_size):
             learner.update(buffer)

@@ -1,4 +1,4 @@
-"""Portfolio weights, risk decomposition, performance metrics, and the
+"""Portfolio weights, short-term risk, performance metrics, and the
 rank-sum significance test used by the comparison harness.
 """
 
@@ -17,7 +17,6 @@ from .errors import (
     NonFiniteInput,
     ZeroVolatility,
 )
-from .market_data import CovarianceEstimate
 
 # a weight vector is a plain float64 array on the probability simplex
 WeightVector = np.ndarray
@@ -59,48 +58,15 @@ def portfolio_value(weights, capital: float, relatives) -> float:
     return float(capital * (w @ x))
 
 
-@dataclass(frozen=True)
-class RiskBreakdown:
-    """Portfolio risk split into a market base term and a short-term term."""
-
-    sigma_beta: float
-    sigma_alpha: float
-
-    @property
-    def sigma_p(self) -> float:
-        return self.sigma_beta + self.sigma_alpha
-
-
-def sigma_alpha_value(weights, cov_matrix, mode: str = "norm") -> float:
-    """Short-term risk of a weight vector under a covariance matrix.
-
-    ``mode="norm"`` (default) is the 2-norm of the matrix-vector product
-    ||Sigma w||_2; ``mode="quadratic"`` is sqrt(w' Sigma w).
-    """
+def sigma_alpha_value(weights, cov_matrix) -> float:
+    """Short-term risk of a weight vector under a covariance matrix: the
+    2-norm of the matrix-vector product ||Sigma w||_2, the risk the solver
+    constrains."""
     w = np.asarray(weights, dtype=np.float64)
     m = np.asarray(cov_matrix, dtype=np.float64)
     if m.shape != (w.size, w.size):
         raise DimensionMismatch(f"covariance {m.shape} incompatible with {w.size} weights")
-    if mode == "norm":
-        return float(np.linalg.norm(m @ w))
-    if mode == "quadratic":
-        return float(np.sqrt(max(w @ m @ w, 0.0)))
-    raise ValueError(f"unknown risk mode {mode!r}")
-
-
-def short_term_risk(
-    weights,
-    cov,
-    sigma_beta: float = 0.0,
-    mode: str = "norm",
-) -> RiskBreakdown:
-    """Risk decomposition at one day: sigma_p = sigma_beta + sigma_alpha."""
-    w = check_weights(weights)
-    matrix = cov.matrix if isinstance(cov, CovarianceEstimate) else np.asarray(cov)
-    if sigma_beta < 0:
-        raise InvalidAction(f"sigma_beta {sigma_beta} must be non-negative")
-    alpha = sigma_alpha_value(w, matrix, mode=mode)
-    return RiskBreakdown(sigma_beta=float(sigma_beta), sigma_alpha=alpha)
+    return float(np.linalg.norm(m @ w))
 
 
 def long_term_volatility(daily_returns, days_per_year: int = 252) -> float:

@@ -241,7 +241,7 @@ def propose_control(
         raise ValueError(f"unknown sigma_mode {sigma_mode!r}")
     a_rl = problem.a_rl
     n = a_rl.size
-    risk_rl = sigma_alpha_value(a_rl, problem.cov, mode="norm")
+    risk_rl = sigma_alpha_value(a_rl, problem.cov)
     if risk_rl <= problem.sigma_s:
         return SolverResult(
             a_ctrl=np.zeros(n),
@@ -262,7 +262,7 @@ def propose_control(
     early_stop = None
     if sigma_mode == "hard":
         def early_stop(x, _value):
-            return sigma_alpha_value(x, cov, mode="norm") <= problem.sigma_s
+            return sigma_alpha_value(x, cov) <= problem.sigma_s
 
     result = differential_evolution(
         objective,
@@ -276,7 +276,7 @@ def propose_control(
         early_stop=early_stop,
     )
     a_final = result.x
-    achieved = sigma_alpha_value(a_final, cov, mode="norm")
+    achieved = sigma_alpha_value(a_final, cov)
     return SolverResult(
         a_ctrl=a_final - a_rl,
         a_final=a_final,

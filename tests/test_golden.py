@@ -29,15 +29,15 @@ RUNS = {
 GOLDEN = {
     ("pipeline", "compare"): {
         "comparison.csv": "bdc01e5038e8b6f7d0dd5a5b43b1d6ae1e8db6dd6ff6a5595403854d0cafca64",
-        "comparison.json": "52e6e69ee770031aad1dcec3920c42cc5d86e560493eee9390d114b04a84ece5",
+        "comparison.json": "d5c35d5f218f15568f339b1e2f48e41e2acab2a829a830a73f71b348dc45b1ef",
     },
     ("pipeline", "ablate"): {
         "ablation.csv": "37fdc85ca1a0c631b4482e1d8dc00c65826575cf9e0ee6f14c5b41e5798d8486",
-        "ablation.json": "651b21617a2842458f15256359f45ead81cc252f472fa9e66cb0f05803f7e7a3",
+        "ablation.json": "bbec32e2d8e3a9fb7094e774e8aa0288d83af3d2d9f270d50a00626f443e0b99",
     },
     ("triple-mlp", "compare"): {
         "comparison.csv": "45713c6e252205ec3ae54241b45e6514c26150ad3f96bd1438c6636e36c7ddac",
-        "comparison.json": "9346bfda637b1b1ca8fe1290fd64108c57ce577e1b1a06c5bcf37a097b0c5f36",
+        "comparison.json": "551bcc5e110f3d0666ab39d0d39eadb904886e2fb21afbd3eafec58817b65183",
     },
 }
 

@@ -68,6 +68,15 @@ def test_config_rejects_unknown_fields():
         small_config(solver={"budget": 60, "swarm": 3})
 
 
+@pytest.mark.parametrize(
+    "block,field,value",
+    [("solver", "optimizer", "de"), ("metrics", "sigma_beta", 0.0), ("metrics", "risk_mode", "norm")],
+)
+def test_config_rejects_removed_knobs(block, field, value):
+    with pytest.raises(ConfigError, match=f"unknown {block} fields"):
+        small_config(**{block: {field: value}})
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         small_config(tier="quad")
@@ -252,7 +261,8 @@ def test_backtest_baseline_on_test_split():
 
 
 # The baseline pass loop as it stood before baselines ran through the agents'
-# pass loop, kept verbatim (with the result type it returned) as the oracle.
+# pass loop, kept verbatim (with the result type it returned) as the oracle;
+# only its risk call lost the mode argument, as "norm" is the one risk left.
 
 
 @dataclass
@@ -296,7 +306,7 @@ def _run_strategy_pass(
         obs, growth, done = env.step(weights)
         equity.append(env.state.capital)
         growths.append(growth)
-        risks.append(sigma_alpha_value(weights, cov, mode=config.metrics.risk_mode))
+        risks.append(sigma_alpha_value(weights, cov))
     growths = np.asarray(growths)
     equity = np.asarray(equity)
     zeros = np.zeros_like(growths)

@@ -1,4 +1,4 @@
-"""Portfolio metrics: value, risk decomposition, performance stats, rank-sum test."""
+"""Portfolio metrics: value, short-term risk, performance stats, rank-sum test."""
 
 import itertools
 import json
@@ -19,7 +19,6 @@ from portagents.metrics import (
     max_drawdown,
     portfolio_value,
     sharpe_ratio,
-    short_term_risk,
     sigma_alpha_value,
     uniform_weights,
     wilcoxon_rank_sum,
@@ -69,14 +68,6 @@ def test_sigma_alpha_matches_scalar_oracle():
         assert sigma_alpha_value(w, cov) == pytest.approx(want, abs=1e-12)
 
 
-def test_sigma_alpha_quadratic_mode():
-    rng = np.random.default_rng(8)
-    cov = random_psd(rng, 4)
-    w = random_simplex(rng, 4)
-    want = float(np.sqrt(w @ cov @ w))
-    assert sigma_alpha_value(w, cov, mode="quadratic") == pytest.approx(want, abs=1e-12)
-
-
 def test_sigma_alpha_convex_in_weights():
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -86,13 +77,6 @@ def test_sigma_alpha_convex_in_weights():
         mixed = sigma_alpha_value(lam * a + (1 - lam) * b, cov)
         bound = lam * sigma_alpha_value(a, cov) + (1 - lam) * sigma_alpha_value(b, cov)
         assert mixed <= bound + 1e-10
-
-
-def test_short_term_risk_decomposition():
-    breakdown = short_term_risk(uniform_weights(4), np.eye(4), sigma_beta=0.01)
-    assert breakdown.sigma_alpha == pytest.approx(0.5)
-    assert breakdown.sigma_beta == 0.01
-    assert breakdown.sigma_p == pytest.approx(0.51)
 
 
 # -- long-term volatility ----------------------------------------------------
