@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import baselines, harness
+from .env import observation_dim
 from .errors import ConfigError, DataError
 from .harness import RunConfig
 from .market_data import write_ohlcv_csv
@@ -84,7 +85,11 @@ def cmd_backtest(args) -> int:
         result = harness.backtest(baselines.make_strategy(name), series, cfg)
     else:
         if args.checkpoint:
-            agent, extra = load_agent(args.checkpoint)
+            agent, extra = load_agent(
+                args.checkpoint,
+                obs_dim=observation_dim(cfg.env.window, series.n_assets),
+                n_assets=series.n_assets,
+            )
             observer = harness.observer_from_state(
                 extra.get("observer"), cfg.observer
             )

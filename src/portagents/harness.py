@@ -114,11 +114,47 @@ class MetricsBlock:
 _DEFAULT_STRATEGIES = ("crp", "eg", "olmar", "pamr", "rmr", "corn", "single", "triple")
 
 
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
+
+
+def _kind_name(default) -> str:
+    if isinstance(default, tuple):
+        return f"list of {_kind_name(default[0])}"
+    return _JSON_KINDS[type(default)]
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a config value has the type of its field's default. An int
+    stands for a float, and a list for a tuple of the default's item type."""
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_same_kind(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def _check_types(cls, raw: dict, prefix: str):
+    """Raise ConfigError naming the first field whose value has another type
+    than the field's default; fields that default to None take any value."""
+    for f in dataclasses.fields(cls):
+        if f.name not in raw:
+            continue
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if default is None or _same_kind(raw[f.name], default):
+            continue
+        raise ConfigError(
+            f"{prefix}{f.name} must be of type {_kind_name(default)}, got {raw[f.name]!r}"
+        )
+
+
 def _build_block(cls, raw: dict, name: str):
     known = {f.name for f in dataclasses.fields(cls)}
     extra = set(raw) - known
     if extra:
         raise ConfigError(f"unknown {name} fields {sorted(extra)}")
+    _check_types(cls, raw, f"{name}.")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -178,6 +214,7 @@ class RunConfig:
                 kwargs[key] = value
             else:
                 raise ConfigError(f"unknown config field {key!r}")
+        _check_types(cls, {k: v for k, v in kwargs.items() if k not in blocks}, "")
         if "agent" in kwargs and isinstance(kwargs["agent"].hidden, list):
             kwargs["agent"].hidden = tuple(kwargs["agent"].hidden)
         try:
@@ -214,7 +251,7 @@ class RunConfig:
             load_cfg = LoadConfig(**self.data.get("load", {}))
             return load_ohlcv(self.data["file"], load_cfg)
         if "synth" in self.data:
-            return synth_from_spec(dict(self.data["synth"]))
+            return synth_from_spec(self.data["synth"])
         raise ConfigError("data block needs either 'file' or 'synth'")
 
 

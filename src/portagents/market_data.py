@@ -387,13 +387,24 @@ def synth_from_spec(spec: dict) -> OhlcvSeries:
     Expected keys: ``assets`` (int), ``regimes`` (list of regime dicts),
     optional ``seed``, ``s0``, ``asset_prefix``, ``start_date``.
     """
+    if not isinstance(spec, dict):
+        raise InvalidRegime("synthetic spec must be an object")
     if "regimes" not in spec or "assets" not in spec:
         raise InvalidRegime("synthetic spec needs 'assets' and 'regimes'")
+
+    def value(key, kind, default=None):
+        raw = spec.get(key, default)
+        try:
+            return kind(raw)
+        except (TypeError, ValueError) as exc:
+            kind_name = {int: "integer", float: "number"}[kind]
+            raise InvalidRegime(f"data.synth.{key} must be of type {kind_name}, got {raw!r}") from exc
+
     return synth_generate(
         regimes=spec["regimes"],
-        n_assets=int(spec["assets"]),
-        seed=int(spec.get("seed", 0)),
-        s0=float(spec.get("s0", 100.0)),
+        n_assets=value("assets", int),
+        seed=value("seed", int, 0),
+        s0=value("s0", float, 100.0),
         asset_prefix=str(spec.get("asset_prefix", "A")),
         start_date=str(spec.get("start_date", "2000-01-01")),
     )

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import nn
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     InsufficientBuffer,
     IoFailure,
@@ -313,8 +314,13 @@ def save_agent(agent: Td3Agent, path, extra: dict | None = None):
         raise IoFailure(f"cannot write agent checkpoint {path}: {exc}") from exc
 
 
-def load_agent(path) -> tuple[Td3Agent, dict]:
-    """Rebuild an agent from :func:`save_agent`; returns (agent, extra)."""
+def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None) -> tuple[Td3Agent, dict]:
+    """Rebuild an agent from :func:`save_agent`; returns (agent, extra).
+
+    A checkpoint that cannot be parsed, or whose body is shorter or longer
+    than its header says, raises ``IoFailure``; one built for another
+    ``obs_dim`` or ``n_assets`` than the ones given raises ``ConfigError``.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -324,22 +330,31 @@ def load_agent(path) -> tuple[Td3Agent, dict]:
         raise IoFailure(f"{path} is not an agent checkpoint")
     rest = blob[len(_MAGIC_AGENT) :]
     header_line, _, raw = rest.partition(b"\n")
-    header = json.loads(header_line)
-    if header.get("version") != 1 or header.get("format") != "td3-agent":
-        raise IoFailure(f"unsupported agent checkpoint header in {path}")
-    cfg_dict = dict(header["config"])
-    cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-    agent = Td3Agent(
-        obs_dim=int(header["obs_dim"]),
-        n_assets=int(header["n_assets"]),
-        config=Td3Config(**cfg_dict),
-        seed=header.get("seed", 0),
-    )
-    offset = 0
-    for name in _NET_ORDER:
-        net, offset = nn.net_from_header(header["nets"][name], raw, offset)
-        setattr(agent, name, net)
-    agent.update_count = int(header["update_count"])
+    try:
+        header = json.loads(header_line)
+        if not isinstance(header, dict) or (header.get("version"), header.get("format")) != (1, "td3-agent"):
+            raise IoFailure(f"unsupported agent checkpoint header in {path}")
+        cfg_dict = dict(header["config"])
+        cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
+        agent = Td3Agent(
+            obs_dim=int(header["obs_dim"]),
+            n_assets=int(header["n_assets"]),
+            config=Td3Config(**cfg_dict),
+            seed=header.get("seed", 0),
+        )
+        offset = 0
+        for name in _NET_ORDER:
+            net, offset = nn.net_from_header(header["nets"][name], raw, offset)
+            setattr(agent, name, net)
+        agent.update_count = int(header["update_count"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoFailure(f"corrupt agent checkpoint {path}: {exc}") from exc
+    if offset != len(raw):
+        raise IoFailure(f"agent checkpoint {path} body holds {len(raw)} bytes, its header {offset}")
+    for field_name, want in (("obs_dim", obs_dim), ("n_assets", n_assets)):
+        got = getattr(agent, field_name)
+        if want is not None and got != want:
+            raise ConfigError(f"checkpoint {path} has {field_name} {got}, the run config needs {want}")
     agent.actor_opt = nn.AdamState.for_params(agent.actor.params(), lr=agent.config.lr)
     agent.critic1_opt = nn.AdamState.for_params(agent.critic1.params(), lr=agent.config.lr)
     agent.critic2_opt = nn.AdamState.for_params(agent.critic2.params(), lr=agent.config.lr)

@@ -208,6 +208,75 @@ def test_exit_code_3_on_non_finite_close(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    work = tmp_path_factory.mktemp("checkpoint")
+    path = work / "run.json"
+    path.write_text(json.dumps(CONFIG))
+    assert main(["train", "--config", str(path), "--out", str(work / "train")]) == 0
+    return read_bytes(work / "train" / "checkpoint.bin")
+
+
+def run_backtest(tmp_path, config, checkpoint: bytes) -> int:
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(checkpoint)
+    return main(["backtest", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out", str(tmp_path / "bt")])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda blob: blob.replace(b'"format"', b'"format', 1), id="corrupt-header"),
+        pytest.param(lambda blob: blob[:-100], id="body-short-by-100-bytes"),
+        pytest.param(lambda blob: blob + b"junk", id="4-trailing-bytes"),
+    ],
+)
+def test_exit_code_3_on_damaged_checkpoint(damage, checkpoint_bytes, tmp_path, capsys):
+    assert run_backtest(tmp_path, CONFIG, checkpoint_bytes) == 0
+    capsys.readouterr()
+    assert run_backtest(tmp_path, CONFIG, damage(checkpoint_bytes)) == 3
+    err = capsys.readouterr().err
+    assert "checkpoint" in err
+    assert "Traceback" not in err
+
+
+def test_exit_code_2_on_checkpoint_of_other_window(checkpoint_bytes, tmp_path, capsys):
+    config = {**CONFIG, "env": {"window": 4}}  # the checkpoint was trained with window 6
+    assert run_backtest(tmp_path, config, checkpoint_bytes) == 2
+    err = capsys.readouterr().err
+    assert "obs_dim" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [
+        ({"data": {"synth": {**CONFIG["data"]["synth"], "assets": "x"}}}, "data.synth.assets"),
+        ({"agent": {**CONFIG["agent"], "hidden": "8"}}, "agent.hidden"),
+        ({"agent": {**CONFIG["agent"], "hidden": ["8", "8"]}}, "agent.hidden"),
+        ({"max_episode": "3"}, "max_episode"),
+        ({"runs": True}, "runs"),
+        ({"splits": ["0.5", 0.2, 0.3]}, "splits"),
+        ({"solver": {"budget": 40.0}}, "solver.budget"),
+        ({"observer": {"kind": 1}}, "observer.kind"),
+    ],
+)
+def test_exit_code_2_on_mistyped_config_field(change, field, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**CONFIG, **change}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be of type" in err
+    assert "Traceback" not in err
+
+
+def test_int_stands_for_float_in_config():
+    cfg = RunConfig.from_dict({**CONFIG, "reward": {"lambda1": 1, "lambda2": 0}, "env": {"window": 6, "c0": 2}})
+    assert (cfg.reward.lambda1, cfg.reward.lambda2, cfg.env.c0) == (1, 0, 2)
+
+
 def test_unknown_subcommand_is_parser_error(config_path):
     with pytest.raises(SystemExit):
         main(["replay", "--config", config_path])
