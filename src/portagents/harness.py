@@ -434,13 +434,14 @@ def _run_pass(
                 cr=config.solver.cr,
                 sigma_mode=config.solver.sigma_mode,
             )
-            a_ctrl = result.a_ctrl
             a_final = result.a_final
+            jsd = jensen_shannon(a_rl, a_final)
+            adjustment = float(np.abs(result.a_ctrl).sum())
             if trace:
                 trace.record("solver", episode, step_i, evaluations=result.evaluations)
         else:
-            a_ctrl = np.zeros(n)
-            a_final = a_rl
+            # the policy's weights trade as they are: no divergence, no control
+            a_final, jsd, adjustment = a_rl, 0.0, 0.0
         if trace:
             trace.record("compose", episode, step_i, a_final=a_final.copy())
 
@@ -450,8 +451,8 @@ def _run_pass(
 
         equity.append(env.state.capital)
         growths.append(growth)
-        jsds.append(jensen_shannon(a_rl, a_final))
-        adjustments.append(float(np.abs(a_ctrl).sum()))
+        jsds.append(jsd)
+        adjustments.append(adjustment)
         if cov is not None:
             risks.append(sigma_alpha_value(a_final, cov))
 

@@ -201,7 +201,7 @@ def backward(net: DenseNet, tape: Tape, output_gradient):
 
 @dataclass
 class AdamState:
-    """Adam optimizer state for a fixed parameter list."""
+    """Adam moment estimates and step count for a fixed parameter list."""
 
     lr: float = 3e-4
     beta1: float = 0.9
@@ -226,7 +226,7 @@ class AdamState:
 def adam_step(state: AdamState, params, grads):
     """One bias-corrected Adam update, applied to ``params`` in place."""
     if len(params) != len(state.m) or len(params) != len(grads):
-        raise ShapeMismatch("params/grads do not match optimizer state")
+        raise ShapeMismatch("params/grads do not match the Adam state")
     state.step += 1
     t = state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):

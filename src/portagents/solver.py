@@ -1,5 +1,5 @@
 """Risk-control solver: Euclidean simplex projection, a small
-DE/rand/1/bin optimizer over simplex-repaired candidates, and the overlay
+DE/rand/1/bin search over simplex-repaired candidates, and the overlay
 that nudges the return agent's allocation back inside a risk boundary.
 """
 

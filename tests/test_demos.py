@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_all_demos_found():
-    assert len(DEMOS) == 7
+def test_demos_found():
+    assert DEMOS
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
