@@ -42,12 +42,16 @@ while not done:
     history.append(obs)
 print(f"\ncollected {len(history)} observations")
 
+# an observer reads a (k, N) array of price relatives, one row per day up to
+# today; row i of `past` is the day of history[i]
+past = series.relatives()[env.window - 1 :]
+
 # the DC observer stays neutral until its lookback window fills, then the
 # sign of the last confirmed event decides whether the boundary relaxes
 # (uptrend, x1.5) or tightens (downtrend, x0.5)
 dc = DcObserver(ObserverConfig(kind="dc", theta=0.01, base_risk=0.01, lookback=40))
 for label, end in [("warmup", 20), ("calm", 140), ("crash", len(history))]:
-    sig = dc.observe(history[:end])
+    sig = dc.observe(past[:end])
     print(f"{label:6s} sigma_s {sig.sigma_s:.4f}  v_m {np.round(sig.v_m, 3)}")
 
 # the update API takes stored (o_prev -> o_next) records; a bare shim class
@@ -70,8 +74,8 @@ for epoch in range(200):
     stats = mlp.update(records)
 print(f"\nmlp trained on {stats['pairs']} pairs, last loss {stats['loss']:.2e}")
 
-sig_calm = mlp.observe(history[100:140])
-sig_crash = mlp.observe(history[-40:])
+sig_calm = mlp.observe(past[100:140])
+sig_crash = mlp.observe(past[-40:])
 print(f"calm  sigma_s {sig_calm.sigma_s:.5f}")
 print(f"crash sigma_s {sig_crash.sigma_s:.5f}")
 assert sig_crash.sigma_s > sig_calm.sigma_s

@@ -15,13 +15,13 @@ import hashlib
 import json
 import logging
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import baselines
-from .env import TradingEnv, build_observation, observation_dim
+from .env import TradingEnv, observation_dim
 from .errors import ConfigError, DataError, DataSplitTooSmall, IoFailure
 from .market_data import (
     OhlcvSeries,
@@ -150,6 +150,8 @@ def _check_types(cls, raw: dict, prefix: str):
 
 
 def _build_block(cls, raw: dict, name: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be of type object, got {raw!r}")
     known = {f.name for f in dataclasses.fields(cls)}
     extra = set(raw) - known
     if extra:
@@ -207,8 +209,6 @@ class RunConfig:
         kwargs = {}
         for key, value in raw.items():
             if key in blocks:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{key} block must be an object")
                 kwargs[key] = _build_block(blocks[key], value, key)
             elif key in {f.name for f in dataclasses.fields(cls)}:
                 kwargs[key] = value
@@ -247,8 +247,13 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def load_series(self) -> OhlcvSeries:
+        extra = set(self.data) - {"file", "load", "synth"}
+        if extra:
+            raise ConfigError(f"unknown data fields {sorted(extra)}")
         if "file" in self.data:
-            load_cfg = LoadConfig(**self.data.get("load", {}))
+            if not isinstance(self.data["file"], str):
+                raise ConfigError(f"data.file must be of type string, got {self.data['file']!r}")
+            load_cfg = _build_block(LoadConfig, self.data.get("load", {}), "data.load")
             return load_ohlcv(self.data["file"], load_cfg)
         if "synth" in self.data:
             return synth_from_spec(self.data["synth"])
@@ -316,16 +321,6 @@ def _env_for_segment(series, config: RunConfig, seg: tuple[int, int], need_risk:
     )
 
 
-def _prefill_history(history, series, config, start_day):
-    """Seed the observer window from the days before the segment start."""
-    lookback = history.maxlen or 0
-    first = max(config.env.window, start_day - lookback)
-    for day in range(first, start_day):
-        history.append(
-            build_observation(series, day, config.env.window)
-        )
-
-
 def _run_pass(
     policy,
     series: OhlcvSeries,
@@ -355,9 +350,9 @@ def _run_pass(
     reward_cfg = config.reward
     n = env.n_assets
 
-    history: deque = deque(maxlen=config.observer.lookback)
-    if tier == "triple":
-        _prefill_history(history, series, config, env.start_day)
+    # the observer sees the latest relatives of every day from the first
+    # observable one (env.window) through today: row d-1 is day d's
+    relatives = series.relatives() if tier == "triple" else None
 
     obs = env.reset()
     o_prev = obs
@@ -398,10 +393,9 @@ def _run_pass(
                 )
         if done:
             break
-        history.append(o_t)
 
         if tier == "triple":
-            sig = observer.observe(history)
+            sig = observer.observe(relatives[config.env.window - 1 : o_t.day])
             if trace:
                 trace.record("observer", episode, step_i, sigma_s=sig.sigma_s)
             env.set_market_features(sig.v_m)
@@ -905,11 +899,11 @@ def observer_from_state(state: dict | None, config: ObserverConfig, seed: int = 
         return None
     kind = state.get("kind")
     if kind != config.kind:
-        config = replace(config, kind=kind)
+        config = replace(config, kind=kind)  # ConfigError for an unknown kind
     observer = make_observer(config, seed=seed)
     if kind == "dc":
         observer.base_risk = float(state["base_risk"])
-    elif kind == "mlp":
+    else:
         saved = state["params"]
         live = observer.net.params()
         if len(saved) != len(live):
@@ -919,8 +913,6 @@ def observer_from_state(state: dict | None, config: ObserverConfig, seed: int = 
             if arr.shape != p.shape:
                 raise ConfigError("observer state does not match config dimensions")
             p[:] = arr
-    else:
-        raise ConfigError(f"unknown observer state kind {kind!r}")
     return observer
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,17 +297,36 @@ class Regime:
     corr: float = 0.0
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "Regime":
-        known = {"drift", "vol", "length", "corr"}
-        extra = set(raw) - known
+    def from_dict(cls, raw: dict, name: str = "regime") -> "Regime":
+        """Build a regime from a JSON-style object; ``name`` prefixes the
+        field named in an InvalidRegime message."""
+        if not isinstance(raw, dict):
+            raise InvalidRegime(f"{name} must be of type object, got {raw!r}")
+        extra = set(raw) - set(_REGIME_KINDS)
         if extra:
-            raise InvalidRegime(f"unknown regime fields {sorted(extra)}")
-        return cls(**{k: raw[k] for k in known if k in raw})
+            raise InvalidRegime(f"unknown {name} fields {sorted(extra)}")
+        for key, value in raw.items():
+            per_asset = key in ("drift", "vol") and isinstance(value, (list, tuple))
+            ok = all(map(_is_number, value)) if per_asset else _is_number(value)
+            if not ok or (key == "length" and not isinstance(value, numbers.Integral)):
+                raise InvalidRegime(f"{name}.{key} must be of type {_REGIME_KINDS[key]}, got {value!r}")
+        return cls(**raw)
+
+
+_PER_ASSET = "number or list of numbers"
+_REGIME_KINDS = {"drift": _PER_ASSET, "vol": _PER_ASSET, "length": "integer", "corr": "number"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _regime_params(regime: Regime, n_assets: int):
-    drift = np.broadcast_to(np.asarray(regime.drift, dtype=np.float64), (n_assets,))
-    vol = np.broadcast_to(np.asarray(regime.vol, dtype=np.float64), (n_assets,))
+    try:
+        drift = np.broadcast_to(np.asarray(regime.drift, dtype=np.float64), (n_assets,))
+        vol = np.broadcast_to(np.asarray(regime.vol, dtype=np.float64), (n_assets,))
+    except ValueError as exc:
+        raise InvalidRegime(f"regime drift and vol need one value or {n_assets} values") from exc
     length = int(regime.length)
     corr = float(regime.corr)
     if length < 1:
@@ -343,7 +363,10 @@ def synth_generate(
     """
     if n_assets < 1:
         raise InvalidRegime("need at least one asset")
-    regimes = [r if isinstance(r, Regime) else Regime.from_dict(dict(r)) for r in regimes]
+    regimes = [
+        r if isinstance(r, Regime) else Regime.from_dict(r, f"regimes[{i}]")
+        for i, r in enumerate(regimes)
+    ]
     if not regimes:
         raise InvalidRegime("need at least one regime")
     params = [_regime_params(r, n_assets) for r in regimes]
@@ -400,8 +423,11 @@ def synth_from_spec(spec: dict) -> OhlcvSeries:
             kind_name = {int: "integer", float: "number"}[kind]
             raise InvalidRegime(f"data.synth.{key} must be of type {kind_name}, got {raw!r}") from exc
 
+    regimes = spec["regimes"]
+    if not isinstance(regimes, list):
+        raise InvalidRegime(f"data.synth.regimes must be of type list of objects, got {regimes!r}")
     return synth_generate(
-        regimes=spec["regimes"],
+        regimes=[Regime.from_dict(r, f"data.synth.regimes[{i}]") for i, r in enumerate(regimes)],
         n_assets=value("assets", int),
         seed=value("seed", int, 0),
         s0=value("s0", float, 100.0),

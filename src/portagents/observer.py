@@ -6,13 +6,12 @@ either into a risk boundary sigma_s plus a three-feature market vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import EmptyBatch, InsufficientHistory
-from .metrics import uniform_weights
+from .errors import ConfigError, EmptyBatch, InsufficientHistory
 
 N_MARKET_FEATURES = 3
 
@@ -109,14 +108,6 @@ class DcMapping:
         return self.neutral
 
 
-def _index_growths(history) -> np.ndarray:
-    """Per-day equal-weight index growth factors from an observation window."""
-    growths = np.empty(len(history))
-    for i, obs in enumerate(history):
-        growths[i] = float(np.mean(obs.latest_relatives()))
-    return growths
-
-
 def _trend_features(growths: np.ndarray, theta: float):
     path = np.concatenate([[1.0], np.cumprod(growths)])
     events = dc_detect(path, theta)
@@ -133,23 +124,25 @@ def _trend_features(growths: np.ndarray, theta: float):
 
 
 def observe_dc(
-    history,
+    relatives,
     theta: float,
     base_risk: float,
     mapping: DcMapping | None = None,
     lookback: int = 63,
 ) -> RiskSignal:
-    """Risk signal from directional-change events on recent observations.
+    """Risk signal from directional-change events on the equal-weight index.
 
-    ``history`` is a sequence of at least ``lookback`` consecutive
-    environment observations; sigma_s = base_risk scaled by the trend factor.
+    ``relatives`` is a (k, N) array of price relatives for consecutive days
+    ending today, oldest first, with k >= ``lookback``. Its last ``lookback``
+    rows, averaged across assets, are the index growths the DC detector
+    walks; sigma_s = base_risk scaled by the trend factor.
     """
-    if len(history) < lookback:
+    if len(relatives) < lookback:
         raise InsufficientHistory(
-            f"history {len(history)} shorter than lookback {lookback}"
+            f"{len(relatives)} days of relatives, fewer than lookback {lookback}"
         )
     mapping = mapping or DcMapping()
-    growths = _index_growths(list(history)[-lookback:])
+    growths = relatives[-lookback:].mean(axis=1)
     trend, intensity, ratio = _trend_features(growths, theta)
     return RiskSignal(
         sigma_s=base_risk * mapping.factor(trend),
@@ -157,38 +150,19 @@ def observe_dc(
     )
 
 
-def observe_mlp(
-    net: nn.DenseNet,
-    features,
-    scale: float = 1.0,
-    prev_prediction: float | None = None,
-    realized_vol: float | None = None,
-) -> RiskSignal:
-    """Risk signal from the MLP's next-window volatility prediction.
-
-    sigma_s is the (non-negative) prediction times ``scale``; the market
-    vector is [sign of predicted change, prediction, realised/predicted].
-    """
-    x = np.asarray(features, dtype=np.float64)
-    out, _ = nn.forward(net, x)
-    pred = float(np.ravel(out)[0])
-    if prev_prediction is None:
-        change = 0.0
-    else:
-        change = float(np.sign(pred - prev_prediction))
-    if realized_vol is not None and pred > 1e-12:
-        ratio = realized_vol / pred
-    else:
-        ratio = 1.0
-    return RiskSignal(
-        sigma_s=max(pred, 0.0) * scale,
-        v_m=np.array([change, pred, ratio]),
-    )
+OBSERVER_KINDS = ("dc", "mlp")
 
 
 @dataclass
 class ObserverConfig:
-    kind: str = "dc"  # "dc" | "mlp" | "none"
+    """Wire format of the observer block.
+
+    ``lookback`` is the DC observer's window in days and ``feature_window``
+    the MLP observer's; each observer stays neutral until the pass has seen
+    that many days of price relatives.
+    """
+
+    kind: str = "dc"  # one of OBSERVER_KINDS
     theta: float = 0.005
     base_risk: float = 0.01
     base_risk_quantile: float = 0.5
@@ -198,6 +172,12 @@ class ObserverConfig:
     hidden: int = 16
     feature_window: int = 10
     lr: float = 1e-3
+
+    def __post_init__(self):
+        if self.kind not in OBSERVER_KINDS:
+            raise ConfigError(f"observer.kind {self.kind!r} not in {OBSERVER_KINDS}")
+        if self.lookback < 1 or self.feature_window < 1:
+            raise ConfigError("observer.lookback and observer.feature_window must be >= 1")
 
 
 class DcObserver:
@@ -214,12 +194,14 @@ class DcObserver:
     def reset(self) -> None:
         """Start a pass: the DC observer keeps no state between steps."""
 
-    def observe(self, history) -> RiskSignal:
-        """Neutral until the lookback window fills, then the DC mapping."""
-        if len(history) < self.config.lookback:
+    def observe(self, relatives) -> RiskSignal:
+        """Signal from a (k, N) array of price relatives for consecutive days
+        ending today, oldest first: neutral while k < ``lookback``, then the
+        DC mapping on the last ``lookback`` days."""
+        if len(relatives) < self.config.lookback:
             return self.neutral_signal()
         return observe_dc(
-            history,
+            relatives,
             theta=self.config.theta,
             base_risk=self.base_risk,
             mapping=self.mapping,
@@ -261,29 +243,28 @@ class MlpObserver:
         a checkpoint does not hold."""
         self.last_prediction = None
 
-    def _features(self, growths: np.ndarray) -> np.ndarray:
+    def observe(self, relatives) -> RiskSignal:
+        """Signal from a (k, N) array of price relatives for consecutive days
+        ending today, oldest first: neutral while k < ``feature_window``, then
+        the net's next-window volatility prediction from the last
+        ``feature_window`` days of equal-weight index returns. sigma_s is the
+        prediction times ``scale`` (base_risk if not positive); v_m is [sign
+        of the predicted change, prediction, realised/predicted]."""
         w = self.config.feature_window
-        window = growths[-w:] - 1.0
-        return np.concatenate([window, [window.std()]])
-
-    def observe(self, history) -> RiskSignal:
-        w = self.config.feature_window
-        if len(history) < w:
+        if len(relatives) < w:
             return self.neutral_signal()
-        growths = _index_growths(list(history)[-w:])
-        feats = self._features(growths)
-        signal = observe_mlp(
-            self.net,
-            feats,
-            scale=self.config.scale,
-            prev_prediction=self.last_prediction,
-            realized_vol=float(feats[-1]),
-        )
-        self.last_prediction = float(signal.v_m[1])
+        window = relatives[-w:].mean(axis=1) - 1.0
+        realized = float(window.std())
+        out, _ = nn.forward(self.net, np.concatenate([window, [realized]]))
+        pred = float(np.ravel(out)[0])
+        prev, self.last_prediction = self.last_prediction, pred
+        change = 0.0 if prev is None else float(np.sign(pred - prev))
+        ratio = realized / pred if pred > 1e-12 else 1.0
+        sigma_s = max(pred, 0.0) * self.config.scale
         # keep the boundary strictly positive even for an untrained net
-        if signal.sigma_s <= 0.0:
-            signal = RiskSignal(sigma_s=self.base_risk, v_m=signal.v_m)
-        return signal
+        if sigma_s <= 0.0:
+            sigma_s = self.base_risk
+        return RiskSignal(sigma_s=sigma_s, v_m=np.array([change, pred, ratio]))
 
     def update(self, records, realized_risk=None) -> dict:
         """One supervised epoch on (trailing window -> next-window vol)."""
@@ -314,8 +295,4 @@ class MlpObserver:
 def make_observer(config: ObserverConfig, seed=0):
     if config.kind == "dc":
         return DcObserver(config)
-    if config.kind == "mlp":
-        return MlpObserver(config, seed=seed)
-    if config.kind == "none":
-        return None
-    raise ValueError(f"unknown observer kind {config.kind!r}")
+    return MlpObserver(config, seed=seed)

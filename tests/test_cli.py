@@ -165,12 +165,31 @@ def test_seed_override_flows_into_report(config_path, tmp_path):
     assert payload["seed"] == 9
 
 
-def test_exit_code_2_on_config_errors(tmp_path, config_path):
+def with_synth(**change):
+    return {"data": {"synth": {**CONFIG["data"]["synth"], **change}}}
+
+
+def with_load(load):
+    return {"data": {"file": "prices.csv", "load": load}}
+
+
+def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["train", "--config", missing, "--out", str(tmp_path / "t")]) == 2
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**CONFIG, "tier": "quad"}))
-    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2
+    for change in (
+        {"tier": "quad"},
+        {"observer": {**CONFIG["observer"], "kind": "none"}},
+        {"observer": {**CONFIG["observer"], "kind": "xyz"}},
+        {"observer": {**CONFIG["observer"], "kind": "mlp", "feature_window": 0}},
+        with_load({"sep": ";"}),
+        with_load(5),
+        with_synth(regimes=[{"length": "x"}]),
+        with_synth(regimes=5),
+        {"data": {**CONFIG["data"], "lod": {}}},
+    ):
+        bad.write_text(json.dumps({**CONFIG, **change}))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, change
     code = main(
         [
             "backtest",
@@ -183,6 +202,9 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path):
         ]
     )
     assert code == 2
+    out = str(tmp_path / "cmp")
+    assert main(["compare", "--config", config_path, "--strategies", "triple-xyz", "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_exit_code_3_on_data_errors(tmp_path):
@@ -261,6 +283,12 @@ def test_exit_code_2_on_checkpoint_of_other_window(checkpoint_bytes, tmp_path, c
         ({"splits": ["0.5", 0.2, 0.3]}, "splits"),
         ({"solver": {"budget": 40.0}}, "solver.budget"),
         ({"observer": {"kind": 1}}, "observer.kind"),
+        ({"data": {"file": 5}}, "data.file"),
+        (with_load(5), "data.load"),
+        (with_load({"delimiter": 5}), "data.load.delimiter"),
+        (with_synth(regimes=5), "data.synth.regimes"),
+        (with_synth(regimes=[{"length": "x"}]), "data.synth.regimes[0].length"),
+        (with_synth(regimes=[{"length": 120}, {"length": 10, "drift": [0.1, "x"]}]), "data.synth.regimes[1].drift"),
     ],
 )
 def test_exit_code_2_on_mistyped_config_field(change, field, tmp_path, capsys):

@@ -81,6 +81,11 @@ def test_config_rejects_bad_values():
         small_config(max_episode=0)
     with pytest.raises(ConfigError):
         small_config(solver={"sigma_mode": "soft"})
+    for observer in ({"kind": "none"}, {"kind": "xyz"}, {"lookback": 0}, {"kind": "mlp", "feature_window": 0}):
+        with pytest.raises(ConfigError):
+            small_config(tier="triple", observer=observer)
+    with pytest.raises(ConfigError):
+        resolve_strategy("triple-xyz", small_config())
 
 
 def test_config_from_json_file(tmp_path):

@@ -1,5 +1,7 @@
 """Data layer: CSV ingestion, relatives, rolling covariance, synthetic prices."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,26 @@ def test_synth_rejects_unknown_regime_field():
         Regime.from_dict({"drift": 0.0, "vol": 0.0, "length": 5, "mood": "sad"})
     with pytest.raises(InvalidRegime):
         synth_generate([Regime(0.0, -0.1, 5)], n_assets=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "raw,field",
+    [
+        ({"length": "x"}, "regimes[0].length"),
+        ({"length": 5.0}, "regimes[0].length"),
+        ({"length": True}, "regimes[0].length"),
+        ({"length": 5, "corr": "0.2"}, "regimes[0].corr"),
+        ({"length": 5, "vol": [0.01, None]}, "regimes[0].vol"),
+        ({"length": 5, "drift": {"a": 0.1}}, "regimes[0].drift"),
+    ],
+)
+def test_synth_names_mistyped_regime_field(raw, field):
+    with pytest.raises(InvalidRegime, match=rf"{re.escape(field)} must be of type"):
+        synth_generate([raw], n_assets=2, seed=0)
+
+
+def test_synth_per_asset_regime_lists():
+    series = synth_generate([{"length": 5, "drift": [0.01, 0.0], "vol": (0.0, 0.0)}], n_assets=2, seed=0)
+    np.testing.assert_allclose(series.close[-1], [100.0 * 1.01**4, 100.0])
+    with pytest.raises(InvalidRegime, match="one value or 2 values"):
+        synth_generate([{"length": 5, "drift": [0.1, 0.2, 0.3]}], n_assets=2, seed=0)

@@ -1,9 +1,17 @@
 """Market observer: DC event detection, risk signals, profile updates."""
 
+import copy
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from portagents.errors import EmptyBatch, InsufficientHistory
+from portagents.env import build_observation, observation_dim
+from portagents.errors import ConfigError, EmptyBatch, InsufficientHistory
+from portagents.harness import EnvBlock, RunConfig, _env_for_segment, backtest, split_indices, train
+from portagents.market_data import Regime, synth_generate
 from portagents.observer import (
     DcMapping,
     DcObserver,
@@ -14,6 +22,8 @@ from portagents.observer import (
     make_observer,
     observe_dc,
 )
+from portagents.rl import Td3Agent
+from test_acceptance import PIPELINE_CONFIG
 
 
 class FakeObs:
@@ -26,9 +36,10 @@ class FakeObs:
         return self._rel
 
 
-def history_from_prices(prices):
+def relatives_from_prices(prices):
+    """One-asset (k, 1) relatives of a price path."""
     p = np.asarray(prices, dtype=np.float64)
-    return [FakeObs(p[i + 1] / p[i]) for i in range(p.size - 1)]
+    return (p[1:] / p[:-1])[:, None]
 
 
 # -- dc_detect -------------------------------------------------------------------
@@ -91,31 +102,28 @@ def test_dc_input_validation():
 
 
 def test_observe_dc_neutral_without_events():
-    history = [FakeObs([1.0, 1.0]) for _ in range(20)]
-    signal = observe_dc(history, theta=0.01, base_risk=0.02, lookback=20)
+    signal = observe_dc(np.ones((20, 2)), theta=0.01, base_risk=0.02, lookback=20)
     assert signal.sigma_s == pytest.approx(0.02)
     assert signal.v_m[0] == 0.0
 
 
 def test_observe_dc_downturn_halves_boundary():
     prices = 100.0 * 0.995 ** np.arange(22)
-    history = history_from_prices(prices)
-    signal = observe_dc(history, theta=0.01, base_risk=0.02, lookback=21)
+    signal = observe_dc(relatives_from_prices(prices), theta=0.01, base_risk=0.02, lookback=21)
     assert signal.v_m[0] == -1.0
     assert signal.sigma_s == pytest.approx(0.01)
 
 
 def test_observe_dc_upturn_relaxes_boundary():
     prices = 100.0 * 1.005 ** np.arange(22)
-    history = history_from_prices(prices)
-    signal = observe_dc(history, theta=0.01, base_risk=0.02, lookback=21)
+    signal = observe_dc(relatives_from_prices(prices), theta=0.01, base_risk=0.02, lookback=21)
     assert signal.v_m[0] == 1.0
     assert signal.sigma_s == pytest.approx(0.03)
 
 
 def test_observe_dc_requires_lookback():
     with pytest.raises(InsufficientHistory):
-        observe_dc([FakeObs([1.0])] * 5, theta=0.01, base_risk=0.01, lookback=10)
+        observe_dc(np.ones((5, 1)), theta=0.01, base_risk=0.01, lookback=10)
 
 
 def test_dc_mapping_monotone_in_trend():
@@ -128,7 +136,7 @@ def test_dc_mapping_monotone_in_trend():
 
 def test_dc_observer_neutral_while_window_fills():
     obs = DcObserver(ObserverConfig(kind="dc", lookback=30, base_risk=0.015))
-    signal = obs.observe([FakeObs([1.01])] * 10)
+    signal = obs.observe(np.full((10, 1), 1.01))
     assert signal.sigma_s == pytest.approx(0.015)
     np.testing.assert_array_equal(signal.v_m, np.zeros(3))
 
@@ -172,16 +180,16 @@ def test_mlp_observer_zero_net_emits_scaled_bias():
     for p in obs.net.params():
         p[:] = 0.0
     obs.net.layers[-1].b[:] = 0.02  # constant prediction = output bias
-    signal = obs.observe([FakeObs([1.01, 0.99])] * 5)
+    signal = obs.observe(np.tile([1.01, 0.99], (5, 1)))
     assert signal.sigma_s == pytest.approx(0.04)
     assert signal.v_m[1] == pytest.approx(0.02)
 
 
 def test_mlp_observer_deterministic():
     config = ObserverConfig(kind="mlp", feature_window=5)
-    history = [FakeObs([1.0 + 0.002 * i, 1.0 - 0.001 * i]) for i in range(5)]
-    a = MlpObserver(config, seed=3).observe(history)
-    b = MlpObserver(config, seed=3).observe(history)
+    relatives = np.array([[1.0 + 0.002 * i, 1.0 - 0.001 * i] for i in range(5)])
+    a = MlpObserver(config, seed=3).observe(relatives)
+    b = MlpObserver(config, seed=3).observe(relatives)
     assert a.sigma_s == b.sigma_s
     np.testing.assert_array_equal(a.v_m, b.v_m)
 
@@ -189,7 +197,7 @@ def test_mlp_observer_deterministic():
 def test_mlp_observer_neutral_until_window_fills():
     config = ObserverConfig(kind="mlp", feature_window=8, base_risk=0.02)
     obs = MlpObserver(config, seed=1)
-    signal = obs.observe([FakeObs([1.0])] * 3)
+    signal = obs.observe(np.ones((3, 1)))
     assert signal.sigma_s == pytest.approx(0.02)
 
 
@@ -225,8 +233,8 @@ def test_mlp_observer_learns_regime_volatility():
     ]
     for _ in range(300):
         obs.update(records)
-    sig_low = obs.observe([FakeObs([g]) for g in low[-w:]])
-    sig_high = obs.observe([FakeObs([g]) for g in high[-w:]])
+    sig_low = obs.observe(low[-w:, None])
+    sig_high = obs.observe(high[-w:, None])
     assert sig_high.sigma_s > sig_low.sigma_s
 
 
@@ -242,6 +250,138 @@ def test_mlp_observer_empty_batch_raises():
 def test_make_observer_kinds():
     assert isinstance(make_observer(ObserverConfig(kind="dc")), DcObserver)
     assert isinstance(make_observer(ObserverConfig(kind="mlp"), seed=1), MlpObserver)
-    assert make_observer(ObserverConfig(kind="none")) is None
-    with pytest.raises(ValueError):
-        make_observer(ObserverConfig(kind="lstm"))
+    for kind in ("none", "lstm"):
+        with pytest.raises(ConfigError):
+            make_observer(ObserverConfig(kind=kind))
+
+
+# -- oracle: the observation history a pass kept before it handed the observer
+# an array of price relatives ------------------------------------------------------
+
+
+def _prefill_history(history, series, config, start_day):
+    """Seed the observer window from the days before the segment start."""
+    lookback = history.maxlen or 0
+    first = max(config.env.window, start_day - lookback)
+    for day in range(first, start_day):
+        history.append(
+            build_observation(series, day, config.env.window)
+        )
+
+
+def _index_growths(history) -> np.ndarray:
+    """Per-day equal-weight index growth factors from an observation window."""
+    growths = np.empty(len(history))
+    for i, obs in enumerate(history):
+        growths[i] = float(np.mean(obs.latest_relatives()))
+    return growths
+
+
+class OracleCheck:
+    """Stands in for a pass's observer whose first step is ``start_day``.
+
+    Each step hands the relatives the pass gave to ``observer``, and the old
+    path's index growths (a deque capped at ``lookback`` and prefilled with
+    built observations) to ``twin``, an identical copy. A (k, 1) column of
+    growths averages to itself, so the twin sees exactly the old growths and
+    runs the unchanged signal code on them. Both signals are kept in ``pairs``.
+    """
+
+    def __init__(self, observer, series, config: RunConfig, start_day: int):
+        self.observer, self.twin = observer, copy.deepcopy(observer)
+        self.series, self.config, self.start_day = series, config, start_day
+        self.pairs = []
+
+    def reset(self):
+        self.observer.reset()
+        self.twin.reset()
+        self.day = self.start_day
+        self.history = deque(maxlen=self.config.observer.lookback)
+        _prefill_history(self.history, self.series, self.config, self.start_day)
+
+    def neutral_signal(self):
+        return self.observer.neutral_signal()
+
+    def observe(self, relatives):
+        self.history.append(build_observation(self.series, self.day, self.config.env.window))
+        self.day += 1
+        new = self.observer.observe(relatives)
+        old = self.twin.observe(_index_growths(self.history)[:, None])
+        self.pairs.append((new, old))
+        return new
+
+
+def assert_byte_equal(pairs):
+    for new, old in pairs:
+        assert new.sigma_s == old.sigma_s
+        assert np.array_equal(new.v_m, old.v_m)
+
+
+def pipeline_config(**observer):
+    return RunConfig.from_dict({**PIPELINE_CONFIG, "observer": {**PIPELINE_CONFIG["observer"], **observer}})
+
+
+@pytest.mark.parametrize("split", [0, 2], ids=["train-split", "test-split"])
+@pytest.mark.parametrize("kind", ["dc", "mlp"])
+def test_triple_pass_signals_match_oracle(kind, split):
+    # the train split starts with no earlier days to prefill, the test split
+    # with a full window of them
+    cfg = pipeline_config(kind=kind)
+    series = cfg.load_series()
+    seg = split_indices(series.n_days, cfg.splits)[split]
+    env = _env_for_segment(series, cfg, seg, need_risk=True)
+    check = OracleCheck(make_observer(cfg.observer, seed=1), series, cfg, env.start_day)
+    agent = Td3Agent(observation_dim(cfg.env.window, series.n_assets), series.n_assets, cfg.agent, seed=0)
+    backtest(agent, series, cfg, seg=seg, observer=check, tier="triple")
+    assert len(check.pairs) == env.end_day - env.start_day
+    assert any(np.any(new.v_m != 0.0) for new, _ in check.pairs)
+    assert_byte_equal(check.pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_assets=st.integers(1, 130),
+    vol=st.floats(0.0, 0.05),
+    window=st.integers(1, 12),
+    lookback=st.integers(1, 40),
+    kind=st.sampled_from(["dc", "mlp"]),
+    data=st.data(),
+)
+def test_observer_matches_oracle_on_random_markets(seed, n_assets, vol, window, lookback, kind, data):
+    feature_window = data.draw(st.integers(1, lookback), label="feature_window")
+    n_days = data.draw(st.integers(window + 3, 100), label="n_days")
+    start_day = data.draw(st.integers(window, n_days - 2), label="start_day")
+    series = synth_generate([Regime(0.0, vol, n_days, 0.3)], n_assets=n_assets, seed=seed)
+    obs_cfg = ObserverConfig(kind=kind, theta=0.005, lookback=lookback, feature_window=feature_window)
+    cfg = RunConfig(env=EnvBlock(window=window), observer=obs_cfg)
+    check = OracleCheck(make_observer(obs_cfg, seed=seed), series, cfg, start_day)
+    check.reset()
+    relatives = series.relatives()
+    for day in range(start_day, n_days - 1):
+        check.observe(relatives[window - 1 : day])
+    assert_byte_equal(check.pairs)
+
+
+def test_row_mean_matches_per_row_mean_bitwise():
+    rng = np.random.default_rng(0)
+    for n in range(1, 131):
+        rel = rng.uniform(0.9, 1.1, size=(30, n))
+        per_row = np.array([float(np.mean(row)) for row in rel])
+        assert np.array_equal(rel.mean(axis=1), per_row), n
+
+
+def test_mlp_feature_window_longer_than_lookback_is_not_always_neutral(monkeypatch):
+    # lookback is the DC window only; the MLP reads its own feature_window
+    cfg = pipeline_config(kind="mlp", lookback=10, feature_window=11)
+    signals = []
+    observe = MlpObserver.observe
+
+    def recording(self, relatives):
+        signals.append(observe(self, relatives))
+        return signals[-1]
+
+    monkeypatch.setattr(MlpObserver, "observe", recording)
+    train(cfg)
+    assert len(signals) == 76  # the train pass and the validation pass
+    assert any(np.any(s.v_m != 0.0) for s in signals)
