@@ -3,8 +3,10 @@ Dense networks, reverse-mode gradients and Adam
 ================================================
 
 The learning components share one small building block: a dense net with
-a taped forward pass and an exact backward pass. This demo checks a
-gradient against finite differences and then fits a toy regression.
+a taped forward pass and an exact backward pass. Each net keeps all its
+parameters in one flat vector (`net.flat`) whose layer weights are views;
+gradients and Adam moments share that layout. This demo checks a gradient
+against finite differences and then fits a toy regression.
 """
 
 import numpy as np
@@ -20,9 +22,11 @@ x = rng.normal(size=(8, 4))
 out, tape = nn.forward(net, x)
 print(f"forward: batch {x.shape} -> {out.shape}")
 
-# backward returns parameter grads (flat, matching net.params()) plus the
-# gradient with respect to the input batch
-grads, input_grad = nn.backward(net, tape, np.ones_like(out))
+# backward returns the parameter gradient as one vector in the layout of
+# net.flat, plus the gradient with respect to the input batch; net.views
+# splits the vector into arrays matching net.params()
+grad, input_grad = nn.backward(net, tape, np.ones_like(out))
+grads = net.views(grad)
 print(f"grad arrays: {len(grads)}, input_grad shape {input_grad.shape}")
 
 # spot-check one weight against a central finite difference
@@ -45,14 +49,14 @@ x_train = rng.normal(size=(256, 4))
 y_train = np.sin(3 * x_train[:, :1]) + 0.5 * x_train[:, 1:2]
 
 model = nn.DenseNet.create([4, 32, 32, 1], ["tanh", "tanh", "linear"], rng)
-adam = nn.AdamState.for_params(model.params(), lr=1e-2)
+adam = nn.AdamState.for_params(model.flat, lr=1e-2)
 
 for epoch in range(200):
     pred, tape = nn.forward(model, x_train)
     err = pred - y_train
     loss = float(np.mean(err**2))
-    grads, _ = nn.backward(model, tape, 2 * err / err.size)
-    nn.adam_step(adam, model.params(), grads)
+    grad, _ = nn.backward(model, tape, 2 * err / err.size)
+    nn.adam_step(adam, model.flat, grad)
     if epoch % 50 == 0:
         print(f"epoch {epoch:3d}  mse {loss:.5f}")
 

@@ -54,24 +54,20 @@ for label, end in [("warmup", 20), ("calm", 140), ("crash", len(history))]:
     sig = dc.observe(past[:end])
     print(f"{label:6s} sigma_s {sig.sigma_s:.4f}  v_m {np.round(sig.v_m, 3)}")
 
-# the update API takes stored (o_prev -> o_next) records; a bare shim class
-# is enough here since only o_next is read
-class _Step:
-    def __init__(self, o):
-        self.o_next = o
-
-records = [_Step(o) for o in history[1:]]
+# an update reads the price relatives of the days a pass stepped through;
+# here the days after the first observation
+stepped = past[1:]
 
 # recalibration: base_risk becomes a trailing quantile of realised risk
 realized = 0.004 + 0.002 * np.sin(np.arange(63))
-dc.update(records, realized_risk=realized)
+dc.update(stepped, realized_risk=realized)
 print(f"recalibrated base_risk {dc.base_risk:.6f}")
 
 # the MLP observer instead regresses next-window volatility; feed it the
 # whole run a few times and compare its boundary across regimes
 mlp = MlpObserver(ObserverConfig(kind="mlp", feature_window=10, lr=5e-3), seed=3)
 for epoch in range(200):
-    stats = mlp.update(records)
+    stats = mlp.update(stepped)
 print(f"\nmlp trained on {stats['pairs']} pairs, last loss {stats['loss']:.2e}")
 
 sig_calm = mlp.observe(past[100:140])

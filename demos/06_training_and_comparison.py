@@ -12,8 +12,6 @@ compare / ablate); the library calls are the same.
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from portagents.harness import RunConfig, backtest, compare, emit_report, train
 
 config = RunConfig.from_dict(

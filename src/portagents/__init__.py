@@ -26,7 +26,6 @@ from .market_data import (
     OhlcvSeries,
     Regime,
     load_ohlcv,
-    price_relatives,
     returns_matrix,
     rolling_covariance,
     synth_generate,
@@ -37,7 +36,6 @@ from .metrics import (
     build_report,
     long_term_volatility,
     max_drawdown,
-    portfolio_value,
     sharpe_ratio,
     sigma_alpha_value,
     uniform_weights,
@@ -49,7 +47,6 @@ from .rl import (
     RewardConfig,
     Td3Agent,
     Td3Config,
-    Transition,
     episode_reward,
     jensen_shannon,
     load_agent,
@@ -90,7 +87,6 @@ __all__ = [
     "OhlcvSeries",
     "Regime",
     "load_ohlcv",
-    "price_relatives",
     "returns_matrix",
     "rolling_covariance",
     "synth_generate",
@@ -99,7 +95,6 @@ __all__ = [
     "build_report",
     "long_term_volatility",
     "max_drawdown",
-    "portfolio_value",
     "sharpe_ratio",
     "sigma_alpha_value",
     "uniform_weights",
@@ -114,7 +109,6 @@ __all__ = [
     "RewardConfig",
     "Td3Agent",
     "Td3Config",
-    "Transition",
     "episode_reward",
     "jensen_shannon",
     "load_agent",

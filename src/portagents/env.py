@@ -38,9 +38,6 @@ class Observation:
         w, n = self.window, self.n_assets
         return self.vector[w * n : w * n + n]
 
-    def market_features(self) -> np.ndarray:
-        return self.vector[-N_MARKET_FEATURES:]
-
 
 def observation_dim(window: int, n_assets: int) -> int:
     return window * n_assets + n_assets + N_MARKET_FEATURES

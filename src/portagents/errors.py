@@ -52,10 +52,6 @@ class DataSplitTooSmall(ConfigError):
 
 # -- numerics / metrics -----------------------------------------------------
 
-class IndexOutOfRange(PortAgentsError, IndexError):
-    pass
-
-
 class DimensionMismatch(PortAgentsError, ValueError):
     pass
 

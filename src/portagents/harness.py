@@ -1,16 +1,15 @@
 """Training and evaluation harness.
 
 Wires the three agents through the trading environment with the per-step
-order observer -> RL -> solver -> compose -> execute, maintains the two
-memories (transition buffer for the RL agent, record list for the observer),
-and provides train / backtest / compare / ablate plus deterministic report
+order observer -> RL -> solver -> compose -> execute, feeds the two learners
+(a replay ring for the RL agent, the pass's price relatives for the
+observer), and provides train / backtest / compare / ablate plus deterministic report
 serialisation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import logging
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import baselines
 from .env import TradingEnv, observation_dim
-from .errors import ConfigError, DataError, DataSplitTooSmall, IoFailure
+from .errors import ConfigError, DataSplitTooSmall, IoFailure
 from .market_data import (
     OhlcvSeries,
     LoadConfig,
@@ -44,7 +43,6 @@ from .observer import (
     DcObserver,
     MlpObserver,
     ObserverConfig,
-    ObserverRecord,
     RiskSignal,
     make_observer,
 )
@@ -53,7 +51,6 @@ from .rl import (
     RewardConfig,
     Td3Agent,
     Td3Config,
-    Transition,
     episode_reward,
     jensen_shannon,
     per_step_reward,
@@ -321,6 +318,11 @@ def _env_for_segment(series, config: RunConfig, seg: tuple[int, int], need_risk:
     )
 
 
+def _agent_policy(agent: Td3Agent, explore: bool):
+    """The pass's ``policy(obs) -> weights`` for an agent."""
+    return lambda obs: agent.select_action(obs.vector, explore=explore)
+
+
 def _run_pass(
     policy,
     series: OhlcvSeries,
@@ -332,7 +334,6 @@ def _run_pass(
     observer=None,
     learner: Td3Agent | None = None,
     buffer: ReplayBuffer | None = None,
-    profile: list | None = None,
     solver_rng=None,
     trace: CallTrace | None = None,
     episode: int = -1,
@@ -341,7 +342,8 @@ def _run_pass(
     the tier's solver and observer act on it.
 
     With a ``buffer`` every step is stored; with a ``learner`` the agent also
-    updates from the buffer after every step (training). Risk is tracked on
+    updates from the buffer after every step, and a triple tier's observer
+    from the pass's price relatives at its end (training). Risk is tracked on
     every pass that does not learn, and on every tier above ``single``.
     """
     need_risk = tier != "single" or learner is None
@@ -361,9 +363,6 @@ def _run_pass(
     r_prev = 0.0
     if observer is not None:
         observer.reset()
-        sig_prev = observer.neutral_signal()
-    else:
-        sig_prev = RiskSignal(config.observer.base_risk, np.zeros(N_MARKET_FEATURES))
 
     equity = [env.c0]
     growths, jsds, risks, adjustments = [], [], [], []
@@ -373,11 +372,7 @@ def _run_pass(
         # store the tuple the last step completed; the pass ends with one more
         o_t = obs
         if buffer is not None:
-            buffer.push(Transition(o_prev, a_final_prev, a_rl_prev, o_t, r_prev))
-            if profile is not None:
-                profile.append(
-                    ObserverRecord(o_prev, o_t, sig_prev.sigma_s, sig_prev.v_m)
-                )
+            buffer.push(o_prev.vector, a_final_prev, a_rl_prev, o_t.vector, r_prev)
             if trace:
                 trace.record(
                     "store",
@@ -388,8 +383,6 @@ def _run_pass(
                     a_final=a_final_prev.copy(),
                     a_rl=a_rl_prev.copy(),
                     reward=r_prev,
-                    sigma_s=sig_prev.sigma_s,
-                    v_m=np.asarray(sig_prev.v_m).copy(),
                 )
         if done:
             break
@@ -458,9 +451,16 @@ def _run_pass(
         if buffer is not None:
             r_prev = per_step_reward(growth, a_rl, a_final, reward_cfg)
         o_prev, a_rl_prev, a_final_prev = o_t, a_rl, a_final
-        if sig is not None:
-            sig_prev = sig
         step_i += 1
+
+    if learner is not None and tier == "triple":
+        # the days the pass stored, from the first one through the last
+        observer.update(
+            relatives[env.start_day - 1 : env.end_day],
+            realized_risk=np.asarray(risks) if risks else None,
+        )
+        if trace:
+            trace.record("observer_update", episode, -1)
 
     return PassResult(
         equity=np.asarray(equity),
@@ -480,7 +480,6 @@ class TrainResult:
     curves: list[dict]
     best_episode: int
     buffer: ReplayBuffer
-    profile: list[ObserverRecord]
     config_hash: str
     seed: int
 
@@ -516,14 +515,13 @@ def train(
     ]
     obs_dim = observation_dim(config.env.window, series.n_assets)
     agent = Td3Agent(obs_dim, series.n_assets, config.agent, seed=agent_seed)
-    buffer = ReplayBuffer(config.agent.buffer_capacity, seed=buffer_seed)
+    buffer = ReplayBuffer(config.agent.buffer_capacity, obs_dim, series.n_assets, seed=buffer_seed)
     solver_rng = np.random.default_rng(solver_seed)
     observer = (
         make_observer(config.observer, seed=observer_seed)
         if config.tier == "triple"
         else None
     )
-    profile: list[ObserverRecord] = []
 
     has_val = val_seg[1] - val_seg[0] > 0
     curves = []
@@ -531,9 +529,8 @@ def train(
     best_agent = agent.snapshot()
     best_episode = 0
     for episode in range(1, config.max_episode + 1):
-        records_before = len(profile)
         result = _run_pass(
-            functools.partial(agent.select_action, explore=True),
+            _agent_policy(agent, explore=True),
             series,
             returns,
             config,
@@ -542,21 +539,13 @@ def train(
             observer=observer,
             learner=agent,
             buffer=buffer,
-            profile=profile,
             solver_rng=solver_rng,
             trace=trace,
             episode=episode,
         )
-        if observer is not None:
-            observer.update(
-                profile[records_before:],
-                realized_risk=result.risks if result.risks.size else None,
-            )
-            if trace:
-                trace.record("observer_update", episode, -1)
         if has_val:
             val = _run_pass(
-                functools.partial(agent.select_action, explore=False),
+                _agent_policy(agent, explore=False),
                 series,
                 returns,
                 config,
@@ -587,7 +576,6 @@ def train(
         curves=curves,
         best_episode=best_episode,
         buffer=buffer,
-        profile=profile,
         config_hash=config.config_hash(),
         seed=seed,
     )
@@ -637,7 +625,7 @@ def backtest(
 
         tier, observer = "single", None
     else:
-        step = functools.partial(policy.select_action, explore=False)
+        step = _agent_policy(policy, explore=False)
         tier = tier or config.tier
     result = _run_pass(
         step,

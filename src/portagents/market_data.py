@@ -12,13 +12,12 @@ import csv
 import datetime as dt
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptyIntersection,
-    IndexOutOfRange,
     InsufficientHistory,
     InvalidRegime,
     IoFailure,
@@ -247,13 +246,6 @@ def write_ohlcv_csv(series: OhlcvSeries, path):
                     )
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def price_relatives(series: OhlcvSeries, t: int) -> np.ndarray:
-    """Vector close[t]/close[t-1]; valid for 1 <= t <= T-1."""
-    if not 1 <= t <= series.n_days - 1:
-        raise IndexOutOfRange(f"day {t} outside [1, {series.n_days - 1}]")
-    return series.close[t] / series.close[t - 1]
 
 
 def returns_matrix(series: OhlcvSeries) -> ReturnsMatrix:

@@ -45,19 +45,6 @@ def check_weights(weights, atol: float = SIMPLEX_ATOL) -> WeightVector:
     return w
 
 
-def portfolio_value(weights, capital: float, relatives) -> float:
-    """Value of ``capital`` allocated by ``weights`` after prices move by
-    ``relatives`` (current close / close at allocation), i.e. the weighted
-    price-relative times capital."""
-    w = check_weights(weights)
-    x = np.asarray(relatives, dtype=np.float64)
-    if x.shape != w.shape:
-        raise DimensionMismatch(f"relatives shape {x.shape} != weights {w.shape}")
-    if capital < 0:
-        raise InvalidAction(f"capital {capital} must be non-negative")
-    return float(capital * (w @ x))
-
-
 def sigma_alpha_value(weights, cov_matrix) -> float:
     """Short-term risk of a weight vector under a covariance matrix: the
     2-norm of the matrix-vector product ||Sigma w||_2, the risk the solver

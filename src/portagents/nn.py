@@ -1,14 +1,17 @@
 """Minimal dense-network engine: forward pass with tape, reverse-mode
 gradients, Adam, and a bit-exact binary checkpoint format.
 
-Everything is float64. Inputs may be single vectors ``(in,)`` or batches
-``(B, in)``; parameter gradients are summed over the batch, so callers
-implementing a mean loss scale the output gradient by ``1/B`` themselves.
+Everything is float64. Each net keeps all its parameters in one flat
+vector, and every layer's weights and bias are views into it; gradients and
+Adam moments are flat vectors in the same layout. Inputs may be single
+vectors ``(in,)`` or batches ``(B, in)``; parameter gradients are summed
+over the batch, so callers implementing a mean loss scale the output
+gradient by ``1/B`` themselves.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +25,6 @@ from .errors import (
 )
 
 ACTIVATIONS = ("relu", "tanh", "linear", "softmax")
-
-_MAGIC_NET = b"DNET1\n"
 
 
 def softmax(logits):
@@ -85,7 +86,12 @@ class Layer:
 
 
 class DenseNet:
-    """A stack of fully connected layers."""
+    """A stack of fully connected layers over one parameter vector.
+
+    ``flat`` holds w0, b0, w1, b1, ... row-major; each layer's ``w`` and
+    ``b`` are views into it. Building a net copies the given layers'
+    parameters into a fresh vector.
+    """
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -95,7 +101,12 @@ class DenseNet:
                 raise ShapeMismatch(
                     f"layer input {nxt.w.shape[1]} != previous output {prev.w.shape[0]}"
                 )
-        self.layers = layers
+        self.flat = np.concatenate([p.ravel() for l in layers for p in (l.w, l.b)])
+        self._shapes = [p.shape for l in layers for p in (l.w, l.b)]
+        views = self.views(self.flat)
+        self.layers = [
+            Layer(w, b, l.activation) for w, b, l in zip(views[::2], views[1::2], layers)
+        ]
 
     @classmethod
     def create(cls, sizes, activations, rng) -> "DenseNet":
@@ -119,9 +130,14 @@ class DenseNet:
     def input_dim(self) -> int:
         return self.layers[0].w.shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].w.shape[0]
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector in the ``flat`` layout, shaped w0, b0, w1, b1, ..."""
+        out, pos = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            out.append(vector[pos : pos + size].reshape(shape))
+            pos += size
+        return out
 
     def params(self) -> list[np.ndarray]:
         """Parameter arrays in a fixed order: w0, b0, w1, b1, ..."""
@@ -131,13 +147,12 @@ class DenseNet:
             out.append(layer.b)
         return out
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params())
-
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            [Layer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers]
-        )
+        return DenseNet(self.layers)
+
+    def __deepcopy__(self, memo) -> "DenseNet":
+        # a plain deep copy would give every layer an array of its own
+        return self.copy()
 
 
 @dataclass
@@ -173,8 +188,9 @@ def forward(net: DenseNet, x):
 def backward(net: DenseNet, tape: Tape, output_gradient):
     """Reverse-mode gradients.
 
-    Returns ``(param_grads, input_grad)`` where ``param_grads`` matches
-    ``net.params()`` order. Parameter gradients are summed over the batch.
+    Returns ``(param_grad, input_grad)`` where ``param_grad`` is one vector
+    in the layout of ``net.flat``. Parameter gradients are summed over the
+    batch.
     """
     if tape.net is not net:
         raise StaleTape("tape was recorded on a different net")
@@ -183,33 +199,34 @@ def backward(net: DenseNet, tape: Tape, output_gradient):
         raise ShapeMismatch(
             f"output gradient shape {g.shape} != output shape {tape.activations[-1].shape}"
         )
-    grads: list = [None] * (2 * len(net.layers))
+    param_grad = np.empty_like(net.flat)
+    grads = net.views(param_grad)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         a = tape.activations[i]
         gz = _activation_input_grad(a, g, layer.activation)
         prev = tape.x if i == 0 else tape.activations[i - 1]
         if gz.ndim == 1:
-            grads[2 * i] = np.outer(gz, prev)
-            grads[2 * i + 1] = gz.copy()
+            grads[2 * i][...] = np.outer(gz, prev)
+            grads[2 * i + 1][...] = gz
         else:
-            grads[2 * i] = gz.T @ prev
-            grads[2 * i + 1] = gz.sum(axis=0)
+            grads[2 * i][...] = gz.T @ prev
+            grads[2 * i + 1][...] = gz.sum(axis=0)
         g = gz @ layer.w
-    return grads, g
+    return param_grad, g
 
 
 @dataclass
 class AdamState:
-    """Adam moment estimates and step count for a fixed parameter list."""
+    """Adam moment estimates and step count for one parameter vector."""
 
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_params(cls, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -218,27 +235,28 @@ class AdamState:
             beta1=beta1,
             beta2=beta2,
             eps=eps,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=np.zeros_like(params),
+            v=np.zeros_like(params),
         )
 
 
-def adam_step(state: AdamState, params, grads):
-    """One bias-corrected Adam update, applied to ``params`` in place."""
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ShapeMismatch("params/grads do not match the Adam state")
+def adam_step(state: AdamState, params, grad):
+    """One bias-corrected Adam update, applied to the vector ``params`` in
+    place."""
+    if params.shape != state.m.shape or params.shape != grad.shape:
+        raise ShapeMismatch(
+            f"params {params.shape}, grad {grad.shape} and Adam state {state.m.shape} differ"
+        )
     state.step += 1
     t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"param {p.shape} vs grad {g.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grad * grad)
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return params
 
 
@@ -263,50 +281,19 @@ def net_header(net: DenseNet) -> dict:
 
 def net_param_bytes(net: DenseNet) -> bytes:
     # row-major little-endian float64: w then b, layer by layer
-    chunks = []
-    for layer in net.layers:
-        chunks.append(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
-    return b"".join(chunks)
+    return np.asarray(net.flat, dtype="<f8").tobytes()
 
 
 def net_from_header(header: dict, raw: bytes, offset: int = 0) -> tuple[DenseNet, int]:
     if header.get("version") != 1 or header.get("format") != "dense-net":
         raise IoFailure(f"unsupported checkpoint header {header!r}")
-    layers = []
-    pos = offset
-    for spec in header["layers"]:
-        out, fan_in = int(spec["out"]), int(spec["in"])
-        n_w = out * fan_in * 8
-        w = np.frombuffer(raw[pos : pos + n_w], dtype="<f8").reshape(out, fan_in)
-        pos += n_w
-        b = np.frombuffer(raw[pos : pos + out * 8], dtype="<f8")
-        pos += out * 8
-        layers.append(Layer(w.copy(), b.copy(), spec["activation"]))
-    return DenseNet(layers), pos
-
-
-def save_net(net: DenseNet, path):
-    """Write a versioned binary checkpoint; round trips are bit-exact."""
-    header = json.dumps(net_header(net), sort_keys=True).encode()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC_NET)
-            fh.write(header + b"\n")
-            fh.write(net_param_bytes(net))
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
-
-
-def load_net(path) -> DenseNet:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
-    if not blob.startswith(_MAGIC_NET):
-        raise IoFailure(f"{path} is not a dense-net checkpoint")
-    rest = blob[len(_MAGIC_NET) :]
-    header_line, _, raw = rest.partition(b"\n")
-    net, _ = net_from_header(json.loads(header_line), raw)
-    return net
+    specs = [(int(s["out"]), int(s["in"]), s["activation"]) for s in header["layers"]]
+    count = sum(out * (fan_in + 1) for out, fan_in, _ in specs)
+    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    layers, pos = [], 0
+    for out, fan_in, activation in specs:
+        w = flat[pos : pos + out * fan_in].reshape(out, fan_in)
+        pos += out * fan_in
+        layers.append(Layer(w, flat[pos : pos + out], activation))
+        pos += out
+    return DenseNet(layers), offset + 8 * count

@@ -82,16 +82,6 @@ class RiskSignal:
     v_m: np.ndarray  # [trend in {-1,0,+1}, dc intensity, realised-vol ratio]
 
 
-@dataclass
-class ObserverRecord:
-    """One stored observer step: (o_prev, o_next, sigma_s_prev, v_m_prev)."""
-
-    o_prev: object
-    o_next: object
-    sigma_s_prev: float
-    v_m_prev: np.ndarray
-
-
 @dataclass(frozen=True)
 class DcMapping:
     """Trend -> boundary scaling: relax in uptrends, tighten in downtrends."""
@@ -178,6 +168,14 @@ class ObserverConfig:
             raise ConfigError(f"observer.kind {self.kind!r} not in {OBSERVER_KINDS}")
         if self.lookback < 1 or self.feature_window < 1:
             raise ConfigError("observer.lookback and observer.feature_window must be >= 1")
+        if not self.theta > 0.0:
+            raise ConfigError(f"observer.theta {self.theta} must be positive")
+        if not 0.0 <= self.base_risk_quantile <= 1.0:
+            raise ConfigError(
+                f"observer.base_risk_quantile {self.base_risk_quantile} outside [0, 1]"
+            )
+        if self.risk_window < 1:
+            raise ConfigError(f"observer.risk_window {self.risk_window} must be >= 1")
 
 
 class DcObserver:
@@ -208,11 +206,13 @@ class DcObserver:
             lookback=self.config.lookback,
         )
 
-    def update(self, records, realized_risk=None) -> dict:
+    def update(self, relatives, realized_risk=None) -> dict:
         """Recalibrate base_risk to the trailing quantile of realised
-        short-term risk; records with no realised risk are a no-op."""
-        if not len(records):
-            raise EmptyBatch("observer update needs at least one record")
+        short-term risk; a pass with no realised risk is a no-op.
+        ``relatives`` is the pass's (k, N) array of price relatives, which
+        the DC observer does not learn from."""
+        if not len(relatives):
+            raise EmptyBatch("observer update needs at least one day")
         if realized_risk is None or not len(realized_risk):
             return {"base_risk": self.base_risk, "updated": False}
         window = np.asarray(realized_risk, dtype=np.float64)[-self.config.risk_window :]
@@ -222,7 +222,8 @@ class DcObserver:
 
 class MlpObserver:
     """MLP observer predicting next-window realised volatility of the
-    equal-weight index; supervised pairs are derived from stored records."""
+    equal-weight index; supervised pairs are derived from a pass's price
+    relatives."""
 
     def __init__(self, config: ObserverConfig | None = None, seed=0):
         self.config = config or ObserverConfig(kind="mlp")
@@ -231,7 +232,7 @@ class MlpObserver:
         self.net = nn.DenseNet.create(
             [w + 1, self.config.hidden, 1], ["tanh", "linear"], rng
         )
-        self.opt = nn.AdamState.for_params(self.net.params(), lr=self.config.lr)
+        self.opt = nn.AdamState.for_params(self.net.flat, lr=self.config.lr)
         self.last_prediction: float | None = None
         self.base_risk = self.config.base_risk
 
@@ -266,15 +267,14 @@ class MlpObserver:
             sigma_s = self.base_risk
         return RiskSignal(sigma_s=sigma_s, v_m=np.array([change, pred, ratio]))
 
-    def update(self, records, realized_risk=None) -> dict:
-        """One supervised epoch on (trailing window -> next-window vol)."""
-        if not len(records):
-            raise EmptyBatch("observer update needs at least one record")
-        growths = np.array(
-            [float(np.mean(r.o_next.latest_relatives())) for r in records]
-        )
+    def update(self, relatives, realized_risk=None) -> dict:
+        """One supervised epoch on (trailing window -> next-window vol) over
+        the equal-weight index of a (k, N) array of a pass's consecutive
+        price relatives, oldest first."""
+        if not len(relatives):
+            raise EmptyBatch("observer update needs at least one day")
         w = self.config.feature_window
-        returns = growths - 1.0
+        returns = relatives.mean(axis=1) - 1.0
         feats, targets = [], []
         for i in range(w, returns.size - w + 1):
             window = returns[i - w : i]
@@ -287,8 +287,8 @@ class MlpObserver:
         out, tape = nn.forward(self.net, x)
         err = out - y
         loss = float(np.mean(err * err))
-        grads, _ = nn.backward(self.net, tape, 2.0 * err / len(feats))
-        nn.adam_step(self.opt, self.net.params(), grads)
+        grad, _ = nn.backward(self.net, tape, 2.0 * err / len(feats))
+        nn.adam_step(self.opt, self.net.flat, grad)
         return {"loss": loss, "pairs": len(feats)}
 
 

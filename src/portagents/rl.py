@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -99,52 +99,47 @@ def episode_reward(growth_rates, jsd_terms, c0: float, config: RewardConfig) -> 
     )
 
 
-@dataclass
-class Transition:
-    """One stored step: (o_prev, a_final, a_rl, o_next, reward)."""
-
-    o_prev: object
-    a_final: np.ndarray
-    a_rl: np.ndarray
-    o_next: object
-    reward: float
-
-
-def _vec(obs) -> np.ndarray:
-    return obs.vector if hasattr(obs, "vector") else np.asarray(obs, dtype=np.float64)
-
-
 class ReplayBuffer:
-    """Ring buffer with a seeded uniform sampler (no replacement per batch)."""
+    """Ring buffer of (obs, a_final, a_rl, next_obs, reward) rows, one
+    preallocated array per column, with a seeded uniform sampler (no
+    replacement per batch). Row i is the i-th stored step until the ring
+    wraps, after which each push overwrites the oldest row."""
 
-    def __init__(self, capacity: int, seed=0):
+    def __init__(self, capacity: int, obs_dim: int, n_assets: int, seed=0):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self._items: list[Transition] = []
+        # np.zeros maps its pages lazily: rows never written hold no memory
+        self.obs = np.zeros((capacity, obs_dim))
+        self.next_obs = np.zeros((capacity, obs_dim))
+        self.a_final = np.zeros((capacity, n_assets))
+        self.a_rl = np.zeros((capacity, n_assets))
+        self.reward = np.zeros((capacity, 1))
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def push(self, transition: Transition):
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._next] = transition
-        self._next = (self._next + 1) % self.capacity
+    def push(self, obs, a_final, a_rl, next_obs, reward: float):
+        i = self._next
+        self.obs[i] = obs
+        self.a_final[i] = a_final
+        self.a_rl[i] = a_rl
+        self.next_obs[i] = next_obs
+        self.reward[i] = reward
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        if batch_size > len(self._items):
+    def sample(self, batch_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(obs, a_final, next_obs, reward)`` rows of a uniform batch."""
+        if batch_size > self._size:
             raise InsufficientBuffer(
-                f"batch {batch_size} > buffer size {len(self._items)}"
+                f"batch {batch_size} > buffer size {self._size}"
             )
-        idx = self.rng.choice(len(self._items), size=batch_size, replace=False)
-        return [self._items[i] for i in idx]
-
-    def items(self) -> list[Transition]:
-        return list(self._items)
+        idx = self.rng.choice(self._size, size=batch_size, replace=False)
+        return self.obs[idx], self.a_final[idx], self.next_obs[idx], self.reward[idx]
 
 
 @dataclass
@@ -168,6 +163,10 @@ class Td3Config:
             raise ValueError(f"tau {self.tau} outside (0, 1]")
         if self.policy_delay < 1:
             raise ValueError("policy_delay must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size {self.batch_size} must be >= 1")
+        if self.buffer_capacity < 1:
+            raise ValueError(f"buffer_capacity {self.buffer_capacity} must be >= 1")
 
 
 class Td3Agent:
@@ -189,17 +188,17 @@ class Td3Agent:
         self.critic1_target = self.critic1.copy()
         self.critic2_target = self.critic2.copy()
         lr = self.config.lr
-        self.actor_opt = nn.AdamState.for_params(self.actor.params(), lr=lr)
-        self.critic1_opt = nn.AdamState.for_params(self.critic1.params(), lr=lr)
-        self.critic2_opt = nn.AdamState.for_params(self.critic2.params(), lr=lr)
+        self.actor_opt = nn.AdamState.for_params(self.actor.flat, lr=lr)
+        self.critic1_opt = nn.AdamState.for_params(self.critic1.flat, lr=lr)
+        self.critic2_opt = nn.AdamState.for_params(self.critic2.flat, lr=lr)
         self.update_count = 0
 
     # -- acting ---------------------------------------------------------
 
-    def select_action(self, obs, explore: bool = False) -> np.ndarray:
-        """Portfolio weights softmax(actor logits [+ exploration noise])."""
-        x = _vec(obs)
-        logits, _ = nn.forward(self.actor, x)
+    def select_action(self, obs: np.ndarray, explore: bool = False) -> np.ndarray:
+        """Portfolio weights softmax(actor logits [+ exploration noise]) for
+        an observation vector."""
+        logits, _ = nn.forward(self.actor, obs)
         if explore:
             logits = logits + self.config.sigma_explore * self.noise_rng.standard_normal(
                 self.n_assets
@@ -226,19 +225,14 @@ class Td3Agent:
             (self.critic1, self.critic1_target),
             (self.critic2, self.critic2_target),
         ):
-            for p, tp in zip(live.params(), target.params()):
-                tp *= 1.0 - tau
-                tp += tau * p
+            target.flat *= 1.0 - tau
+            target.flat += tau * live.flat
 
     def update(self, buffer: ReplayBuffer, batch_size: int | None = None) -> dict:
         """One TD3 step: both critics every call, actor + target nets every
         ``policy_delay``-th call."""
         bs = batch_size or self.config.batch_size
-        batch = buffer.sample(bs)
-        obs = np.stack([_vec(t.o_prev) for t in batch])
-        obs_next = np.stack([_vec(t.o_next) for t in batch])
-        actions = np.stack([np.asarray(t.a_final, dtype=np.float64) for t in batch])
-        rewards = np.asarray([t.reward for t in batch], dtype=np.float64).reshape(-1, 1)
+        obs, actions, obs_next, rewards = buffer.sample(bs)
 
         targets = self._td_targets(rewards, obs_next)
         q_in = np.concatenate([obs, actions], axis=1)
@@ -250,8 +244,8 @@ class Td3Agent:
             q, tape = nn.forward(critic, q_in)
             err = q - targets
             losses[f"{name}_loss"] = float(np.mean(err * err))
-            grads, _ = nn.backward(critic, tape, 2.0 * err / bs)
-            nn.adam_step(opt, critic.params(), grads)
+            grad, _ = nn.backward(critic, tape, 2.0 * err / bs)
+            nn.adam_step(opt, critic.flat, grad)
 
         self.update_count += 1
         out = {
@@ -267,8 +261,8 @@ class Td3Agent:
             # ascend Q: minimise -mean(Q)
             _, d_in = nn.backward(self.critic1, critic_tape, np.full_like(q, -1.0 / bs))
             d_logits = nn.softmax_input_grad(acts, d_in[:, self.obs_dim :])
-            grads, _ = nn.backward(self.actor, actor_tape, d_logits)
-            nn.adam_step(self.actor_opt, self.actor.params(), grads)
+            grad, _ = nn.backward(self.actor, actor_tape, d_logits)
+            nn.adam_step(self.actor_opt, self.actor.flat, grad)
             self._polyak()
             out["actor_loss"] = float(-np.mean(q))
             out["did_policy_update"] = True
@@ -355,7 +349,7 @@ def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None) ->
         got = getattr(agent, field_name)
         if want is not None and got != want:
             raise ConfigError(f"checkpoint {path} has {field_name} {got}, the run config needs {want}")
-    agent.actor_opt = nn.AdamState.for_params(agent.actor.params(), lr=agent.config.lr)
-    agent.critic1_opt = nn.AdamState.for_params(agent.critic1.params(), lr=agent.config.lr)
-    agent.critic2_opt = nn.AdamState.for_params(agent.critic2.params(), lr=agent.config.lr)
+    agent.actor_opt = nn.AdamState.for_params(agent.actor.flat, lr=agent.config.lr)
+    agent.critic1_opt = nn.AdamState.for_params(agent.critic1.flat, lr=agent.config.lr)
+    agent.critic2_opt = nn.AdamState.for_params(agent.critic2.flat, lr=agent.config.lr)
     return agent, header.get("extra", {})

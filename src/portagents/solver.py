@@ -5,7 +5,7 @@ that nudges the return agent's allocation back inside a risk boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from portagents import nn
 from portagents.baselines import (
@@ -28,7 +27,8 @@ from portagents.metrics import (
     sigma_alpha_value,
     wilcoxon_rank_sum,
 )
-from portagents.observer import dc_detect
+from portagents.env import build_observation
+from portagents.observer import DcObserver, dc_detect
 from portagents.rl import (
     RewardConfig,
     episode_reward,
@@ -75,12 +75,12 @@ def test_01_gradient_fidelity():
         g_out = rng.normal(size=(3, sizes[-1]))
 
         out, tape = nn.forward(net, x)
-        param_grads, _ = nn.backward(net, tape, g_out)
+        param_grad, _ = nn.backward(net, tape, g_out)
 
         def loss() -> float:
             return float(np.sum(nn.forward(net, x)[0] * g_out))
 
-        for p, g in zip(net.params(), param_grads):
+        for p, g in zip(net.params(), net.views(param_grad)):
             flat, gflat = p.ravel(), g.ravel()
             for i in range(flat.size):
                 orig = flat[i]
@@ -387,10 +387,20 @@ PIPELINE_CONFIG = {
 PIPELINE_STAGES = ("observer", "rl", "solver", "compose", "execute")
 
 
-def test_07_pipeline_conformance():
+def test_07_pipeline_conformance(monkeypatch):
     cfg = RunConfig.from_dict(PIPELINE_CONFIG)
+    window = cfg.env.window
     trace = CallTrace()
+    learnt_from = []
+    update = DcObserver.update
+
+    def recording(self, relatives, realized_risk=None):
+        learnt_from.append(relatives.copy())
+        return update(self, relatives, realized_risk=realized_risk)
+
+    monkeypatch.setattr(DcObserver, "update", recording)
     result = train(cfg, trace=trace)
+    series = cfg.load_series()
     n_steps = trace.counters["rl"]
 
     order_ok = n_steps > 0
@@ -404,16 +414,21 @@ def test_07_pipeline_conformance():
                 return e[3]
         raise AssertionError(f"missing {stage}@{step}")
 
-    # replay memory: stored tuples must equal the live pipeline values
-    transitions = result.buffer.items()
+    width = window * series.n_assets  # the relatives part of an observation
+
+    def market_window(day):
+        return build_observation(series, day, window).vector[:width]
+
+    # replay memory: stored rows must equal the live pipeline values
+    buf = result.buffer
     store_events = [e for e in trace.events if e[0] == "store" and e[1] == 1]
-    replay_ok = len(transitions) == n_steps + 1 == len(store_events)
-    for (_, _, step, pay), tr in zip(store_events, transitions):
-        replay_ok &= tr.o_prev.day == pay["o_prev_day"]
-        replay_ok &= tr.o_next.day == pay["o_day"]
-        replay_ok &= np.array_equal(tr.a_rl, pay["a_rl"])
-        replay_ok &= np.array_equal(tr.a_final, pay["a_final"])
-        replay_ok &= tr.reward == pay["reward"]
+    replay_ok = len(buf) == n_steps + 1 == len(store_events)
+    for i, (_, _, step, pay) in enumerate(store_events):
+        replay_ok &= np.array_equal(buf.obs[i, :width], market_window(pay["o_prev_day"]))
+        replay_ok &= np.array_equal(buf.next_obs[i, :width], market_window(pay["o_day"]))
+        replay_ok &= np.array_equal(buf.a_rl[i], pay["a_rl"])
+        replay_ok &= np.array_equal(buf.a_final[i], pay["a_final"])
+        replay_ok &= buf.reward[i, 0] == pay["reward"]
         if step >= 1:
             expected = per_step_reward(
                 payload("execute", step - 1)["growth"],
@@ -421,21 +436,17 @@ def test_07_pipeline_conformance():
                 payload("compose", step - 1)["a_final"],
                 cfg.reward,
             )
-            replay_ok &= abs(tr.reward - expected) <= 1e-12
-            replay_ok &= np.array_equal(tr.a_rl, payload("rl", step - 1)["a_rl"])
+            replay_ok &= abs(buf.reward[i, 0] - expected) <= 1e-12
+            replay_ok &= np.array_equal(buf.a_rl[i], payload("rl", step - 1)["a_rl"])
             replay_ok &= np.array_equal(
-                tr.a_final, payload("compose", step - 1)["a_final"]
+                buf.a_final[i], payload("compose", step - 1)["a_final"]
             )
 
-    # observer memory: stored signals must equal the live observer outputs
-    profile_ok = len(result.profile) == n_steps + 1
-    for (_, _, step, pay), rec in zip(store_events, result.profile):
-        profile_ok &= rec.o_prev.day == pay["o_prev_day"]
-        profile_ok &= rec.o_next.day == pay["o_day"]
-        profile_ok &= rec.sigma_s_prev == pay["sigma_s"]
-        profile_ok &= np.array_equal(rec.v_m_prev, pay["v_m"])
-        if step >= 1:
-            profile_ok &= rec.sigma_s_prev == payload("observer", step - 1)["sigma_s"]
+    # observer memory: the training pass's update reads the relatives of the
+    # stored days, in order
+    relatives = series.relatives()
+    stored = np.array([relatives[pay["o_day"] - 1] for _, _, _, pay in store_events])
+    observer_ok = len(learnt_from) == 1 and np.array_equal(learnt_from[0], stored)
 
     single_cfg = RunConfig.from_dict({**PIPELINE_CONFIG, "tier": "single"})
     single_trace = CallTrace()
@@ -444,16 +455,16 @@ def test_07_pipeline_conformance():
         single_trace.counters["solver"] == 0 and single_trace.counters["observer"] == 0
     )
 
-    ok = order_ok and replay_ok and profile_ok and single_ok
+    ok = order_ok and replay_ok and observer_ok and single_ok
     verdict(
         ok,
         "7 pipeline conformance",
-        f"{n_steps} steps ordered, {len(transitions)} tuples matched, "
+        f"{n_steps} steps ordered, {len(buf)} tuples matched, "
         f"single-tier solver/observer calls 0/0",
     )
     assert order_ok
     assert replay_ok
-    assert profile_ok
+    assert observer_ok
     assert single_ok
 
 

@@ -205,6 +205,19 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
     out = str(tmp_path / "cmp")
     assert main(["compare", "--config", config_path, "--strategies", "triple-xyz", "--out", out]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # out-of-range values: the message names the field
+    for block, name, value in (
+        ("agent", "batch_size", 0),
+        ("agent", "batch_size", -3),
+        ("agent", "buffer_capacity", 0),
+        ("observer", "theta", 0.0),
+        ("observer", "base_risk_quantile", 2.0),
+        ("observer", "risk_window", 0),
+    ):
+        bad.write_text(json.dumps({**CONFIG, block: {**CONFIG[block], name: value}}))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, (name, value)
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err, err
 
 
 def test_exit_code_3_on_data_errors(tmp_path):

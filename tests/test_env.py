@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from portagents.env import (
-    Observation,
     TradingEnv,
     build_observation,
     drifted_holdings,
@@ -29,7 +28,7 @@ def test_observation_layout():
     assert obs.vector.size == 11  # 3*2 relatives + 2 holdings + 3 features
     assert obs.relatives_window().shape == (3, 2)
     np.testing.assert_allclose(obs.holdings(), [0.5, 0.5])
-    np.testing.assert_array_equal(obs.market_features(), np.zeros(3))
+    np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
 
 
 def test_observation_window_content():
@@ -140,9 +139,9 @@ def test_market_features_flow_into_observation():
     env = TradingEnv(two_asset_series(), window=2)
     env.reset()
     env.set_market_features([1.0, 0.02, -0.5])
-    np.testing.assert_allclose(env.observe().market_features(), [1.0, 0.02, -0.5])
+    np.testing.assert_allclose(env.observe().vector[-3:], [1.0, 0.02, -0.5])
     obs, _, _ = env.step(np.array([0.5, 0.5]))
-    np.testing.assert_allclose(obs.market_features(), [1.0, 0.02, -0.5])
+    np.testing.assert_allclose(obs.vector[-3:], [1.0, 0.02, -0.5])
     with pytest.raises(ValueError):
         env.set_market_features([1.0, 2.0])
 
@@ -152,7 +151,7 @@ def test_reset_clears_market_features():
     env.reset()
     env.set_market_features([1.0, 1.0, 1.0])
     obs = env.reset()
-    np.testing.assert_array_equal(obs.market_features(), np.zeros(3))
+    np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
 
 
 def test_constructor_bounds():

@@ -1,9 +1,10 @@
-"""Golden fixture: SHA-256 of the reports that `compare` and `ablate` write.
+"""Golden fixture: SHA-256 of the reports that `compare` and `ablate` write,
+and of the checkpoint and report that `train` writes.
 
-A change to any number in these reports changes a hash. Only a change that
-says it changes numbers may update GOLDEN; print the current hashes with
-``PYTHONPATH=src python tests/test_golden.py``. Taken on x86-64, Python 3.11,
-numpy 2.4.
+A change to any number in these files, or to a checkpoint byte, changes a
+hash. Only a change that says it changes numbers may update GOLDEN; print
+the current hashes with ``PYTHONPATH=src python tests/test_golden.py``.
+Taken on x86-64, Python 3.11, numpy 2.4.
 """
 
 import hashlib
@@ -23,7 +24,12 @@ RUNS = {
     ("pipeline", "compare"): PIPELINE_CONFIG,
     ("pipeline", "ablate"): PIPELINE_CONFIG,
     ("triple-mlp", "compare"): MLP_CONFIG,
+    ("pipeline", "train"): PIPELINE_CONFIG,
+    ("triple-mlp", "train"): MLP_CONFIG,
 }
+
+# options each command writes its reports with
+OPTIONS = {"compare": ["--formats", "json,csv"], "ablate": ["--formats", "json,csv"], "train": []}
 
 # (config name, command) -> {report file: sha256}
 GOLDEN = {
@@ -39,6 +45,14 @@ GOLDEN = {
         "comparison.csv": "45713c6e252205ec3ae54241b45e6514c26150ad3f96bd1438c6636e36c7ddac",
         "comparison.json": "551bcc5e110f3d0666ab39d0d39eadb904886e2fb21afbd3eafec58817b65183",
     },
+    ("pipeline", "train"): {
+        "checkpoint.bin": "98d4ca9bc792ef50e82ee32197289c1bc23cfd83cc08cbcdbba2bee93b42dac4",
+        "train_report.json": "946e18fe807bd82536a5748d6f2695360d7c3708acd115159381b142cb87417d",
+    },
+    ("triple-mlp", "train"): {
+        "checkpoint.bin": "adead25376575e9ca74b3063cef4cf693ea59a49c330161f21b1e76bd99eac90",
+        "train_report.json": "870da313e0be34d6c63719f60973882c15199e0f064b1169ab50be3d0742946f",
+    },
 }
 
 
@@ -46,7 +60,7 @@ def report_hashes(name: str, command: str, work: Path) -> dict:
     config = work / f"{name}.json"
     config.write_text(json.dumps(RUNS[name, command]))
     out = work / name / command
-    assert main([command, "--config", str(config), "--out", str(out), "--formats", "json,csv"]) == 0
+    assert main([command, "--config", str(config), "--out", str(out), *OPTIONS[command]]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 

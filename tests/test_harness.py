@@ -195,7 +195,6 @@ def test_stored_tuple_matches_pipeline_events():
             cfg.reward,
         )
         assert store_next["reward"] == pytest.approx(expected_reward, rel=1e-12)
-        assert store_next["sigma_s"] == pytest.approx(payload("observer", t)["sigma_s"])
         assert store_next["o_prev_day"] == payload("store", t)["o_day"]
         assert store_next["o_day"] == store_next["o_prev_day"] + 1
 

@@ -8,7 +8,6 @@ import pytest
 from helpers import series_from_close
 from portagents.errors import (
     EmptyIntersection,
-    IndexOutOfRange,
     InsufficientHistory,
     InvalidRegime,
     MissingColumn,
@@ -19,7 +18,6 @@ from portagents.market_data import (
     LoadConfig,
     Regime,
     load_ohlcv,
-    price_relatives,
     returns_matrix,
     rolling_covariance,
     synth_from_spec,
@@ -129,14 +127,17 @@ def test_csv_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(back, name), getattr(series, name))
 
 
+# OhlcvSeries.relatives(): row t-1 holds day t's relatives close[t]/close[t-1]
+
+
 def test_price_relatives_constant_is_ones():
     series = series_from_close(np.full((4, 3), 7.0))
-    np.testing.assert_allclose(price_relatives(series, 2), np.ones(3))
+    np.testing.assert_allclose(series.relatives()[1], np.ones(3))
 
 
 def test_price_relatives_hand_case():
     series = series_from_close([[100.0, 100.0], [110.0, 90.0]])
-    np.testing.assert_allclose(price_relatives(series, 1), [1.10, 0.90])
+    np.testing.assert_allclose(series.relatives()[0], [1.10, 0.90])
 
 
 def test_price_relatives_matches_scalar_division():
@@ -144,17 +145,15 @@ def test_price_relatives_matches_scalar_division():
     close = rng.uniform(10, 200, size=(12, 5))
     series = series_from_close(close)
     for t in range(1, 12):
-        got = price_relatives(series, t)
+        got = series.relatives()[t - 1]
         want = [close[t, i] / close[t - 1, i] for i in range(5)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_price_relatives_bounds():
+    # days 1..T-1 have relatives; day 0 has none
     series = series_from_close(np.full((4, 2), 3.0))
-    with pytest.raises(IndexOutOfRange):
-        price_relatives(series, 0)
-    with pytest.raises(IndexOutOfRange):
-        price_relatives(series, 4)
+    assert series.relatives().shape == (3, 2)
 
 
 def test_returns_matrix_row_semantics():

@@ -1,4 +1,4 @@
-"""Portfolio metrics: value, short-term risk, performance stats, rank-sum test."""
+"""Portfolio metrics: short-term risk, performance stats, rank-sum test."""
 
 import itertools
 import json
@@ -10,40 +10,18 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from helpers import random_psd, random_simplex
-from portagents.errors import DegenerateSamples, DimensionMismatch, ZeroVolatility
+from portagents.errors import DegenerateSamples, ZeroVolatility
 from portagents.metrics import (
     _mid_ranks,
     annual_return,
     build_report,
     long_term_volatility,
     max_drawdown,
-    portfolio_value,
     sharpe_ratio,
     sigma_alpha_value,
     uniform_weights,
     wilcoxon_rank_sum,
 )
-
-
-# -- portfolio value ---------------------------------------------------------
-
-
-def test_portfolio_value_identity():
-    assert portfolio_value([0.0, 1.0], 500.0, [1.3, 1.0]) == pytest.approx(500.0)
-
-
-def test_portfolio_value_symmetric_offset():
-    assert portfolio_value([0.5, 0.5], 100.0, [1.2, 0.8]) == pytest.approx(100.0)
-
-
-def test_portfolio_value_hand_case():
-    got = portfolio_value([0.3, 0.7], 1000.0, [1.1, 0.9])
-    assert got == pytest.approx(960.0, abs=1e-9)
-
-
-def test_portfolio_value_rejects_bad_weights():
-    with pytest.raises(DimensionMismatch):
-        portfolio_value([0.5, 0.5], 1.0, [1.0, 1.0, 1.0])
 
 
 # -- short-term risk ---------------------------------------------------------

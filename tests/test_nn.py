@@ -1,12 +1,16 @@
 """Dense-net engine: forward, reverse-mode gradients, Adam, persistence."""
 
+import copy
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portagents import nn
-from portagents.errors import DimensionMismatch, NonFiniteInput, StaleTape
+from portagents.errors import DimensionMismatch, NonFiniteInput, ShapeMismatch, StaleTape
 
 
 def make_net(sizes, activations, seed=0):
@@ -88,9 +92,8 @@ def test_forward_rejects_bad_input():
 def test_backward_zero_output_gradient():
     net = make_net([3, 4, 2], ["tanh", "linear"], seed=3)
     out, tape = nn.forward(net, np.ones(3))
-    grads, d_in = nn.backward(net, tape, np.zeros_like(out))
-    for g in grads:
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    grad, d_in = nn.backward(net, tape, np.zeros_like(out))
+    np.testing.assert_array_equal(grad, np.zeros_like(net.flat))
     np.testing.assert_array_equal(d_in, np.zeros(3))
 
 
@@ -100,7 +103,8 @@ def test_backward_single_linear_hand_case():
     net.layers[0].w[:] = [[2.0]]
     net.layers[0].b[:] = [1.0]
     _, tape = nn.forward(net, np.array([3.0]))
-    grads, _ = nn.backward(net, tape, np.array([1.0]))
+    grad, _ = nn.backward(net, tape, np.array([1.0]))
+    grads = net.views(grad)
     np.testing.assert_allclose(grads[0], [[3.0]])
     np.testing.assert_allclose(grads[1], [1.0])
 
@@ -131,9 +135,9 @@ def test_backward_matches_finite_differences():
     x = rng.normal(size=4)
     v = rng.normal(size=3)
     _, tape = nn.forward(net, x)
-    grads, _ = nn.backward(net, tape, v)
+    grad, _ = nn.backward(net, tape, v)
     fd = finite_difference_grads(net, x, v)
-    for g, f in zip(grads, fd):
+    for g, f in zip(net.views(grad), fd):
         rel = np.abs(g - f) / np.maximum.reduce([np.abs(g), np.abs(f), np.full_like(g, 1e-6)])
         assert rel.max() < 1e-4
 
@@ -159,15 +163,12 @@ def test_backward_batch_sums_per_sample_grads():
     xs = np.random.default_rng(8).normal(size=(5, 3))
     gs = np.random.default_rng(9).normal(size=(5, 2))
     _, tape = nn.forward(net, xs)
-    batch_grads, _ = nn.backward(net, tape, gs)
-    summed = [np.zeros_like(p) for p in net.params()]
+    batch_grad, _ = nn.backward(net, tape, gs)
+    summed = np.zeros_like(net.flat)
     for i in range(5):
         _, t = nn.forward(net, xs[i])
-        g, _ = nn.backward(net, t, gs[i])
-        for acc, gi in zip(summed, g):
-            acc += gi
-    for a, b in zip(batch_grads, summed):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        summed += nn.backward(net, t, gs[i])[0]
+    np.testing.assert_allclose(batch_grad, summed, atol=1e-12)
 
 
 def test_backward_rejects_stale_tape():
@@ -219,63 +220,234 @@ def test_softmax_input_grad_matches_finite_differences():
 
 
 def test_adam_zero_gradient_fixed_point():
-    params = [np.array([1.0, -2.0]), np.array([[0.5]])]
+    params = np.array([1.0, -2.0, 0.5])
     state = nn.AdamState.for_params(params, lr=0.1)
-    nn.adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-    np.testing.assert_array_equal(params[0], [1.0, -2.0])
-    np.testing.assert_array_equal(params[1], [[0.5]])
+    nn.adam_step(state, params, np.zeros(3))
+    np.testing.assert_array_equal(params, [1.0, -2.0, 0.5])
 
 
 def test_adam_first_step_moves_by_lr():
     # bias-corrected first step: m_hat = g, v_hat = g^2 -> step = lr * g/(|g|+eps)
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = nn.AdamState.for_params(params, lr=0.1)
-    nn.adam_step(state, params, [np.array([1.0])])
-    assert params[0][0] == pytest.approx(-0.1, abs=1e-8)
+    nn.adam_step(state, params, np.array([1.0]))
+    assert params[0] == pytest.approx(-0.1, abs=1e-8)
 
 
 def test_adam_deterministic():
     def run():
-        params = [np.linspace(-1, 1, 6).reshape(2, 3)]
+        params = np.linspace(-1, 1, 6)
         state = nn.AdamState.for_params(params, lr=0.01)
-        g = np.arange(6.0).reshape(2, 3)
+        g = np.arange(6.0)
         for _ in range(25):
-            nn.adam_step(state, params, [g])
-        return params[0].copy()
+            nn.adam_step(state, params, g)
+        return params
 
     np.testing.assert_array_equal(run(), run())
 
 
 def test_adam_against_hand_recurrence():
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-    params = [np.array([0.7])]
+    params = np.array([0.7])
     state = nn.AdamState.for_params(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
     p, m, v = 0.7, 0.0, 0.0
     for t in range(1, 8):
         g = 0.3 * p  # gradient of 0.15 p^2
-        nn.adam_step(state, params, [np.array([g])])
+        nn.adam_step(state, params, np.array([g]))
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        assert params[0][0] == pytest.approx(p, abs=1e-12)
+        assert params[0] == pytest.approx(p, abs=1e-12)
+
+
+def test_adam_rejects_mismatched_vectors():
+    state = nn.AdamState.for_params(np.zeros(3))
+    with pytest.raises(ShapeMismatch):
+        nn.adam_step(state, np.zeros(3), np.zeros(2))
+    with pytest.raises(ShapeMismatch):
+        nn.adam_step(state, np.zeros(4), np.zeros(4))
+
+
+# -- one parameter vector per net -----------------------------------------------
+
+
+def assert_layers_view(net):
+    """Every layer's w and b read and write ``net.flat`` in params() order."""
+    pos = 0
+    for p in net.params():
+        assert p.base is net.flat
+        np.testing.assert_array_equal(p.ravel(), net.flat[pos : pos + p.size])
+        pos += p.size
+    assert pos == net.flat.size
+
+
+def test_layers_are_views_of_the_parameter_vector():
+    net = make_net([4, 6, 3, 2], ["relu", "tanh", "linear"], seed=13)
+    assert_layers_view(net)
+    net.flat[:] = np.arange(net.flat.size)
+    np.testing.assert_array_equal(net.layers[0].w[0], [0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(net.layers[0].b, [24.0, 25.0, 26.0, 27.0, 28.0, 29.0])
+
+
+@pytest.mark.parametrize("clone", [nn.DenseNet.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_copies_keep_their_layers_tied_to_their_own_vector(clone):
+    net = make_net([4, 6, 2], ["relu", "linear"], seed=14)
+    twin = clone(net)
+    assert_layers_view(twin)
+    assert not np.shares_memory(twin.flat, net.flat)
+    before = [p.copy() for p in net.params()]
+    state = nn.AdamState.for_params(twin.flat, lr=0.1)
+    nn.adam_step(state, twin.flat, np.ones_like(twin.flat))
+    for p, q, old in zip(twin.params(), net.params(), before):
+        assert np.all(p < old)  # every layer of the copy moved
+        np.testing.assert_array_equal(q, old)  # the original did not
 
 
 # -- persistence -----------------------------------------------------------------
 
 
-def test_net_save_load_roundtrip(tmp_path):
+def test_net_save_load_roundtrip():
     net = make_net([4, 6, 2], ["relu", "linear"], seed=12)
-    path = tmp_path / "net.bin"
-    nn.save_net(net, path)
-    back = nn.load_net(path)
+    raw = b"pad" + nn.net_param_bytes(net)
+    back, end = nn.net_from_header(nn.net_header(net), raw, offset=3)
+    assert end == len(raw)
     assert [l.activation for l in back.layers] == [l.activation for l in net.layers]
     for a, b in zip(net.params(), back.params()):
         np.testing.assert_array_equal(a, b)
+    assert_layers_view(back)
     # byte-identical on re-save
-    nn.save_net(back, tmp_path / "net2.bin")
-    assert (tmp_path / "net.bin").read_bytes() == (tmp_path / "net2.bin").read_bytes()
+    assert nn.net_param_bytes(back) == nn.net_param_bytes(net)
+    back.flat[:] = 0.0  # writable, and not the checkpoint's buffer
+    assert not np.any(back.layers[0].w)
+    assert nn.net_param_bytes(net) == raw[3:]
+
+
+# -- oracle: the engine as it was when each layer owned its arrays ------------------
+
+
+class ArrayNet:
+    """The same net with every layer's w and b in an array of its own."""
+
+    def __init__(self, net):
+        self.layers = [nn.Layer(l.w.copy(), l.b.copy(), l.activation) for l in net.layers]
+        self.input_dim = net.input_dim
+
+    def params(self):
+        out = []
+        for layer in self.layers:
+            out.append(layer.w)
+            out.append(layer.b)
+        return out
+
+
+def list_backward(net, tape, output_gradient):
+    """Reverse-mode gradients.
+
+    Returns ``(param_grads, input_grad)`` where ``param_grads`` matches
+    ``net.params()`` order. Parameter gradients are summed over the batch.
+    """
+    if tape.net is not net:
+        raise StaleTape("tape was recorded on a different net")
+    g = np.asarray(output_gradient, dtype=np.float64)
+    if g.shape != tape.activations[-1].shape:
+        raise ShapeMismatch(
+            f"output gradient shape {g.shape} != output shape {tape.activations[-1].shape}"
+        )
+    grads: list = [None] * (2 * len(net.layers))
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        a = tape.activations[i]
+        gz = nn._activation_input_grad(a, g, layer.activation)
+        prev = tape.x if i == 0 else tape.activations[i - 1]
+        if gz.ndim == 1:
+            grads[2 * i] = np.outer(gz, prev)
+            grads[2 * i + 1] = gz.copy()
+        else:
+            grads[2 * i] = gz.T @ prev
+            grads[2 * i + 1] = gz.sum(axis=0)
+        g = gz @ layer.w
+    return grads, g
+
+
+@dataclass
+class ListAdamState:
+    """Adam moment estimates and step count for a fixed parameter list."""
+
+    lr: float = 3e-4
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+
+    @classmethod
+    def for_params(cls, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        return cls(
+            lr=lr,
+            beta1=beta1,
+            beta2=beta2,
+            eps=eps,
+            m=[np.zeros_like(p) for p in params],
+            v=[np.zeros_like(p) for p in params],
+        )
+
+
+def list_adam_step(state: ListAdamState, params, grads):
+    """One bias-corrected Adam update, applied to ``params`` in place."""
+    if len(params) != len(state.m) or len(params) != len(grads):
+        raise ShapeMismatch("params/grads do not match the Adam state")
+    state.step += 1
+    t = state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if p.shape != g.shape:
+            raise ShapeMismatch(f"param {p.shape} vs grad {g.shape}")
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return params
+
+
+def flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+    batch=st.integers(0, 70),
+    data=st.data(),
+)
+def test_flat_engine_matches_per_array_engine(seed, sizes, batch, data):
+    acts = data.draw(st.lists(st.sampled_from(nn.ACTIVATIONS), min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    rng = np.random.default_rng(seed)
+    net = nn.DenseNet.create(sizes, acts, rng)
+    old = ArrayNet(net)
+    state = nn.AdamState.for_params(net.flat, lr=1e-2)
+    old_state = ListAdamState.for_params(old.params(), lr=1e-2)
+    shape = (sizes[0],) if batch == 0 else (batch, sizes[0])
+    for _ in range(3):
+        x = rng.normal(size=shape)
+        out, tape = nn.forward(net, x)
+        old_out, old_tape = nn.forward(old, x)
+        assert np.array_equal(out, old_out)
+        g_out = rng.normal(size=out.shape)
+        grad, d_in = nn.backward(net, tape, g_out)
+        old_grads, old_d_in = list_backward(old, old_tape, g_out)
+        assert np.array_equal(grad, flatten(old_grads))
+        assert np.array_equal(d_in, old_d_in)
+        nn.adam_step(state, net.flat, grad)
+        list_adam_step(old_state, old.params(), old_grads)
+        assert np.array_equal(net.flat, flatten(old.params()))
+        assert np.array_equal(state.m, flatten(old_state.m))
+        assert np.array_equal(state.v, flatten(old_state.v))
 
 
 def test_create_rejects_bad_spec():

@@ -1,7 +1,8 @@
-"""Market observer: DC event detection, risk signals, profile updates."""
+"""Market observer: DC event detection, risk signals, updates from relatives."""
 
 import copy
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portagents.env import build_observation, observation_dim
+from portagents import nn
 from portagents.errors import ConfigError, EmptyBatch, InsufficientHistory
 from portagents.harness import EnvBlock, RunConfig, _env_for_segment, backtest, split_indices, train
 from portagents.market_data import Regime, synth_generate
@@ -17,17 +19,18 @@ from portagents.observer import (
     DcObserver,
     MlpObserver,
     ObserverConfig,
-    ObserverRecord,
     dc_detect,
     make_observer,
     observe_dc,
 )
 from portagents.rl import Td3Agent
 from test_acceptance import PIPELINE_CONFIG
+from test_nn import ArrayNet, ListAdamState, flatten, list_adam_step, list_backward
 
 
 class FakeObs:
-    """Minimal observation stub: only latest_relatives() is consumed here."""
+    """Minimal observation stub: only latest_relatives() is consumed by the
+    records-based oracle below."""
 
     def __init__(self, rel):
         self._rel = np.atleast_1d(np.asarray(rel, dtype=np.float64))
@@ -143,16 +146,14 @@ def test_dc_observer_neutral_while_window_fills():
 
 def test_dc_observer_recalibrates_to_constant_risk():
     obs = DcObserver(ObserverConfig(kind="dc"))
-    records = [ObserverRecord(FakeObs([1.0]), FakeObs([1.0]), 0.01, np.zeros(3))] * 5
-    out = obs.update(records, realized_risk=np.full(40, 0.007))
+    out = obs.update(np.ones((5, 1)), realized_risk=np.full(40, 0.007))
     assert out["updated"]
     assert obs.base_risk == pytest.approx(0.007)
 
 
 def test_dc_observer_update_without_risk_is_noop():
     obs = DcObserver(ObserverConfig(kind="dc", base_risk=0.033))
-    records = [ObserverRecord(FakeObs([1.0]), FakeObs([1.0]), 0.01, np.zeros(3))]
-    out = obs.update(records)
+    out = obs.update(np.ones((1, 1)))
     assert not out["updated"]
     assert obs.base_risk == pytest.approx(0.033)
 
@@ -160,14 +161,13 @@ def test_dc_observer_update_without_risk_is_noop():
 def test_dc_observer_empty_batch_raises():
     obs = DcObserver()
     with pytest.raises(EmptyBatch):
-        obs.update([], realized_risk=[0.01])
+        obs.update(np.empty((0, 1)), realized_risk=[0.01])
 
 
 def test_dc_observer_quantile_recalibration():
     obs = DcObserver(ObserverConfig(kind="dc", base_risk_quantile=0.25, risk_window=8))
-    records = [ObserverRecord(FakeObs([1.0]), FakeObs([1.0]), 0.01, np.zeros(3))]
     risk = np.arange(1.0, 9.0) / 100.0  # trailing window [0.01..0.08]
-    obs.update(records, realized_risk=risk)
+    obs.update(np.ones((1, 1)), realized_risk=risk)
     assert obs.base_risk == pytest.approx(np.quantile(risk, 0.25))
 
 
@@ -209,10 +209,7 @@ def test_mlp_observer_loss_non_increasing_on_repeated_sample():
     obs.net.layers[-1].w[:] = 0.0
     obs.net.layers[-1].b[:] = 0.0
     growths = 1.0 + 0.2 * np.sin(np.arange(10))
-    records = [
-        ObserverRecord(FakeObs([g]), FakeObs([g]), 0.01, np.zeros(3)) for g in growths
-    ]
-    losses = [obs.update(records)["loss"] for _ in range(10)]
+    losses = [obs.update(growths[:, None])["loss"] for _ in range(10)]
     assert all(l is not None for l in losses)
     assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
@@ -227,12 +224,9 @@ def test_mlp_observer_learns_regime_volatility():
     high = 1.0 + rng.normal(0.0, 0.03, size=150)
     config = ObserverConfig(kind="mlp", feature_window=w, lr=5e-3)
     obs = MlpObserver(config, seed=5)
-    records = [
-        ObserverRecord(FakeObs([g]), FakeObs([g]), 0.01, np.zeros(3))
-        for g in np.concatenate([low, high])
-    ]
+    relatives = np.concatenate([low, high])[:, None]
     for _ in range(300):
-        obs.update(records)
+        obs.update(relatives)
     sig_low = obs.observe(low[-w:, None])
     sig_high = obs.observe(high[-w:, None])
     assert sig_high.sigma_s > sig_low.sigma_s
@@ -241,7 +235,71 @@ def test_mlp_observer_learns_regime_volatility():
 def test_mlp_observer_empty_batch_raises():
     obs = MlpObserver(ObserverConfig(kind="mlp"), seed=0)
     with pytest.raises(EmptyBatch):
-        obs.update([])
+        obs.update(np.empty((0, 1)))
+
+
+# -- oracle: the MLP update as it was when it learnt from stored records ------------
+
+
+@dataclass
+class ObserverRecord:
+    """One stored observer step: (o_prev, o_next, sigma_s_prev, v_m_prev)."""
+
+    o_prev: object
+    o_next: object
+    sigma_s_prev: float
+    v_m_prev: np.ndarray
+
+
+def records_update(self, records, realized_risk=None) -> dict:
+    """One supervised epoch on (trailing window -> next-window vol)."""
+    if not len(records):
+        raise EmptyBatch("observer update needs at least one record")
+    growths = np.array(
+        [float(np.mean(r.o_next.latest_relatives())) for r in records]
+    )
+    w = self.config.feature_window
+    returns = growths - 1.0
+    feats, targets = [], []
+    for i in range(w, returns.size - w + 1):
+        window = returns[i - w : i]
+        feats.append(np.concatenate([window, [window.std()]]))
+        targets.append(returns[i : i + w].std())
+    if not feats:
+        return {"loss": None, "pairs": 0}
+    x = np.stack(feats)
+    y = np.asarray(targets).reshape(-1, 1)
+    out, tape = nn.forward(self.net, x)
+    err = out - y
+    loss = float(np.mean(err * err))
+    grads, _ = list_backward(self.net, tape, 2.0 * err / len(feats))
+    list_adam_step(self.opt, self.net.params(), grads)
+    return {"loss": loss, "pairs": len(feats)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_days=st.integers(1, 90),
+    n_assets=st.integers(1, 130),
+    feature_window=st.integers(1, 30),
+)
+def test_mlp_update_from_relatives_matches_records_oracle(seed, n_days, n_assets, feature_window):
+    rng = np.random.default_rng(seed)
+    relatives = rng.uniform(0.9, 1.1, size=(n_days, n_assets))
+    # the first record of a pass stored the start day as both o_prev and o_next
+    records = [ObserverRecord(FakeObs(relatives[0]), FakeObs(relatives[0]), 0.01, np.zeros(3))]
+    records += [
+        ObserverRecord(FakeObs(prev), FakeObs(row), 0.01, np.zeros(3))
+        for prev, row in zip(relatives, relatives[1:])
+    ]
+    config = ObserverConfig(kind="mlp", feature_window=feature_window, lr=1e-2)
+    new, old = MlpObserver(config, seed=seed), MlpObserver(config, seed=seed)
+    # the old observer's net keeps an array per layer, with a list Adam state
+    old.net = ArrayNet(old.net)
+    old.opt = ListAdamState.for_params(old.net.params(), lr=config.lr)
+    assert new.update(relatives) == records_update(old, records)
+    assert np.array_equal(new.net.flat, flatten(old.net.params()))
 
 
 # -- factory ------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 """RL agent: divergence-regularised rewards, replay buffer, TD3 learner."""
 
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_simplex
+from test_nn import ArrayNet, ListAdamState, flatten, list_adam_step, list_backward
 from portagents import nn
 from portagents.errors import DimensionMismatch, InsufficientBuffer, NonPositiveGrowth
 from portagents.rl import (
+    _NET_ORDER,
     LN2,
     ReplayBuffer,
     RewardConfig,
     Td3Agent,
     Td3Config,
-    Transition,
     episode_reward,
     jensen_shannon,
     load_agent,
@@ -27,17 +31,11 @@ SMALL = Td3Config(hidden=(8, 8), warmup=0, batch_size=8, buffer_capacity=64)
 
 def fill_buffer(n, obs_dim=5, n_assets=3, seed=0):
     rng = np.random.default_rng(seed)
-    buf = ReplayBuffer(256, seed=seed + 1)
+    buf = ReplayBuffer(256, obs_dim, n_assets, seed=seed + 1)
     for _ in range(n):
         a = rng.dirichlet(np.ones(n_assets))
         buf.push(
-            Transition(
-                o_prev=rng.normal(size=obs_dim),
-                a_final=a,
-                a_rl=a,
-                o_next=rng.normal(size=obs_dim),
-                reward=float(rng.normal(scale=0.01)),
-            )
+            rng.normal(size=obs_dim), a, a, rng.normal(size=obs_dim), float(rng.normal(scale=0.01))
         )
     return buf
 
@@ -151,20 +149,22 @@ def test_episode_reward_validates_inputs():
 
 
 def test_buffer_ring_overwrites_oldest():
-    buf = ReplayBuffer(4, seed=0)
+    buf = ReplayBuffer(4, 1, 2, seed=0)
     for i in range(6):
         w = np.ones(2) / 2
-        buf.push(Transition(np.array([float(i)]), w, w, np.array([float(i)]), float(i)))
+        buf.push(np.array([float(i)]), w, w, np.array([float(i)]), float(i))
     assert len(buf) == 4
-    stored = sorted(t.reward for t in buf.items())
-    assert stored == [2.0, 3.0, 4.0, 5.0]
+    # rows 0 and 1 were overwritten by the fifth and sixth step
+    np.testing.assert_array_equal(buf.reward[:, 0], [4.0, 5.0, 2.0, 3.0])
+    np.testing.assert_array_equal(buf.obs[:, 0], [4.0, 5.0, 2.0, 3.0])
 
 
 def test_buffer_sample_without_replacement():
     buf = fill_buffer(20)
-    batch = buf.sample(20)
-    ids = {id(t) for t in batch}
-    assert len(ids) == 20
+    obs, a_final, obs_next, reward = buf.sample(20)
+    assert obs.shape == obs_next.shape == (20, 5)
+    assert a_final.shape == (20, 3) and reward.shape == (20, 1)
+    assert len({row.tobytes() for row in obs}) == 20
 
 
 def test_buffer_sample_insufficient():
@@ -176,9 +176,7 @@ def test_buffer_sample_insufficient():
 def test_buffer_sampling_deterministic():
     a = fill_buffer(30, seed=7)
     b = fill_buffer(30, seed=7)
-    ra = [t.reward for t in a.sample(8)]
-    rb = [t.reward for t in b.sample(8)]
-    assert ra == rb
+    np.testing.assert_array_equal(a.sample(8)[3], b.sample(8)[3])
 
 
 # -- TD3 agent ----------------------------------------------------------------------
@@ -282,10 +280,10 @@ def test_critic_learns_constant_reward():
                        buffer_capacity=128, lr=3e-3, policy_delay=10_000)
     agent = Td3Agent(obs_dim=4, n_assets=2, config=config, seed=14)
     rng = np.random.default_rng(15)
-    buf = ReplayBuffer(128, seed=16)
+    buf = ReplayBuffer(128, 4, 2, seed=16)
     for _ in range(64):
         w = rng.dirichlet(np.ones(2))
-        buf.push(Transition(rng.normal(size=4), w, w, rng.normal(size=4), 1.0))
+        buf.push(rng.normal(size=4), w, w, rng.normal(size=4), 1.0)
     first = agent.update(buf)["critic_loss"]
     for _ in range(400):
         last = agent.update(buf)["critic_loss"]
@@ -309,3 +307,189 @@ def test_agent_save_load_roundtrip(tmp_path):
             np.testing.assert_array_equal(p, q)
     save_agent(back, tmp_path / "agent2.bin", extra={"note": "roundtrip"})
     assert (tmp_path / "agent.bin").read_bytes() == (tmp_path / "agent2.bin").read_bytes()
+
+
+def test_snapshot_keeps_each_net_tied_to_its_own_vector():
+    agent = Td3Agent(obs_dim=5, n_assets=3, config=SMALL, seed=19)
+    snap = agent.snapshot()
+    for name in _NET_ORDER:
+        net = getattr(snap, name)
+        assert all(p.base is net.flat for p in net.params())
+        assert not np.shares_memory(net.flat, getattr(agent, name).flat)
+    w0 = snap.actor.layers[0].w.copy()
+    nn.adam_step(snap.actor_opt, snap.actor.flat, np.ones_like(snap.actor.flat))
+    assert np.all(snap.actor.layers[0].w < w0)
+    np.testing.assert_array_equal(agent.actor.layers[0].w, w0)
+
+
+# -- oracle: the learner as it was with a list buffer of Transition objects and
+# per-layer parameter arrays ------------------------------------------------------
+
+
+@dataclass
+class Transition:
+    """One stored step: (o_prev, a_final, a_rl, o_next, reward)."""
+
+    o_prev: object
+    a_final: np.ndarray
+    a_rl: np.ndarray
+    o_next: object
+    reward: float
+
+
+def _vec(obs) -> np.ndarray:
+    return obs.vector if hasattr(obs, "vector") else np.asarray(obs, dtype=np.float64)
+
+
+class ListReplayBuffer:
+    """Ring buffer with a seeded uniform sampler (no replacement per batch)."""
+
+    def __init__(self, capacity: int, seed=0):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        self._items: list[Transition] = []
+        self._next = 0
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def push(self, transition: Transition):
+        if len(self._items) < self.capacity:
+            self._items.append(transition)
+        else:
+            self._items[self._next] = transition
+        self._next = (self._next + 1) % self.capacity
+
+    def sample(self, batch_size: int) -> list[Transition]:
+        if batch_size > len(self._items):
+            raise InsufficientBuffer(
+                f"batch {batch_size} > buffer size {len(self._items)}"
+            )
+        idx = self.rng.choice(len(self._items), size=batch_size, replace=False)
+        return [self._items[i] for i in idx]
+
+
+class ListTd3:
+    """A twin of a fresh ``Td3Agent`` that learns the old way: nets with an
+    array per layer, list Adam states, and the update below."""
+
+    def __init__(self, agent: Td3Agent):
+        self.config, self.obs_dim = agent.config, agent.obs_dim
+        self.noise_rng = copy.deepcopy(agent.noise_rng)
+        for name in _NET_ORDER:
+            setattr(self, name, ArrayNet(getattr(agent, name)))
+        lr = self.config.lr
+        self.actor_opt = ListAdamState.for_params(self.actor.params(), lr=lr)
+        self.critic1_opt = ListAdamState.for_params(self.critic1.params(), lr=lr)
+        self.critic2_opt = ListAdamState.for_params(self.critic2.params(), lr=lr)
+        self.update_count = 0
+
+    def _td_targets(self, rewards: np.ndarray, obs_next: np.ndarray) -> np.ndarray:
+        """r + gamma * min(Q1', Q2') with smoothed target actions."""
+        logits, _ = nn.forward(self.actor_target, obs_next)
+        noise = self.config.sigma_smooth * self.noise_rng.standard_normal(logits.shape)
+        noise = np.clip(noise, -self.config.noise_clip, self.config.noise_clip)
+        actions = nn.softmax(logits + noise)
+        q_in = np.concatenate([obs_next, actions], axis=1)
+        q1, _ = nn.forward(self.critic1_target, q_in)
+        q2, _ = nn.forward(self.critic2_target, q_in)
+        return rewards + self.config.gamma * np.minimum(q1, q2)
+
+    def _polyak(self):
+        tau = self.config.tau
+        for live, target in (
+            (self.actor, self.actor_target),
+            (self.critic1, self.critic1_target),
+            (self.critic2, self.critic2_target),
+        ):
+            for p, tp in zip(live.params(), target.params()):
+                tp *= 1.0 - tau
+                tp += tau * p
+
+    def update(self, buffer: ListReplayBuffer, batch_size: int | None = None) -> dict:
+        """One TD3 step: both critics every call, actor + target nets every
+        ``policy_delay``-th call."""
+        bs = batch_size or self.config.batch_size
+        batch = buffer.sample(bs)
+        obs = np.stack([_vec(t.o_prev) for t in batch])
+        obs_next = np.stack([_vec(t.o_next) for t in batch])
+        actions = np.stack([np.asarray(t.a_final, dtype=np.float64) for t in batch])
+        rewards = np.asarray([t.reward for t in batch], dtype=np.float64).reshape(-1, 1)
+
+        targets = self._td_targets(rewards, obs_next)
+        q_in = np.concatenate([obs, actions], axis=1)
+        losses = {}
+        for name, critic, opt in (
+            ("critic1", self.critic1, self.critic1_opt),
+            ("critic2", self.critic2, self.critic2_opt),
+        ):
+            q, tape = nn.forward(critic, q_in)
+            err = q - targets
+            losses[f"{name}_loss"] = float(np.mean(err * err))
+            grads, _ = list_backward(critic, tape, 2.0 * err / bs)
+            list_adam_step(opt, critic.params(), grads)
+
+        self.update_count += 1
+        out = {
+            "critic_loss": 0.5 * (losses["critic1_loss"] + losses["critic2_loss"]),
+            **losses,
+            "did_policy_update": False,
+        }
+        if self.update_count % self.config.policy_delay == 0:
+            logits, actor_tape = nn.forward(self.actor, obs)
+            acts = nn.softmax(logits)
+            q_in_pi = np.concatenate([obs, acts], axis=1)
+            q, critic_tape = nn.forward(self.critic1, q_in_pi)
+            # ascend Q: minimise -mean(Q)
+            _, d_in = list_backward(self.critic1, critic_tape, np.full_like(q, -1.0 / bs))
+            d_logits = nn.softmax_input_grad(acts, d_in[:, self.obs_dim :])
+            grads, _ = list_backward(self.actor, actor_tape, d_logits)
+            list_adam_step(self.actor_opt, self.actor.params(), grads)
+            self._polyak()
+            out["actor_loss"] = float(-np.mean(q))
+            out["did_policy_update"] = True
+        return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    obs_dim=st.integers(1, 30),
+    n_assets=st.integers(1, 8),
+    hidden=st.lists(st.integers(1, 24), min_size=1, max_size=3),
+    batch=st.integers(1, 40),
+    policy_delay=st.integers(1, 3),
+    tau=st.floats(0.001, 1.0),
+    data=st.data(),
+)
+def test_update_matches_list_buffer_and_per_array_learner(
+    seed, obs_dim, n_assets, hidden, batch, policy_delay, tau, data
+):
+    # a ring smaller than the pushes wraps while the agents learn
+    capacity = data.draw(st.integers(batch, 3 * batch), label="capacity")
+    config = Td3Config(hidden=tuple(hidden), tau=tau, policy_delay=policy_delay,
+                       batch_size=batch, buffer_capacity=capacity, warmup=0, lr=1e-2)
+    agent = Td3Agent(obs_dim, n_assets, config, seed=seed)
+    twin = ListTd3(agent)
+    ring = ReplayBuffer(capacity, obs_dim, n_assets, seed=seed + 1)
+    listed = ListReplayBuffer(capacity, seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+
+    def push():
+        a_final, a_rl = rng.dirichlet(np.ones(n_assets), size=2)
+        o_prev, o_next = rng.normal(size=(2, obs_dim))
+        reward = float(rng.normal(scale=0.01))
+        ring.push(o_prev, a_final, a_rl, o_next, reward)
+        listed.push(Transition(o_prev, a_final, a_rl, o_next, reward))
+
+    for _ in range(batch):
+        push()
+    for _ in range(24):
+        assert agent.update(ring) == twin.update(listed)
+        push()
+    for name in _NET_ORDER:
+        assert np.array_equal(getattr(agent, name).flat, flatten(getattr(twin, name).params())), name
+    assert agent.noise_rng.bit_generator.state == twin.noise_rng.bit_generator.state
+    assert ring.rng.bit_generator.state == listed.rng.bit_generator.state
