@@ -8,7 +8,7 @@ performance measures computed from it.
 
 import numpy as np
 
-from portagents.market_data import returns_matrix, rolling_covariance, synth_generate
+from portagents.market_data import rolling_covariance, synth_generate
 from portagents.metrics import (
     build_report,
     sigma_alpha_value,
@@ -28,25 +28,25 @@ series = synth_generate(
 print(f"series: {series.n_days} days x {series.n_assets} assets")
 print(f"first close row: {np.round(series.close[0], 2)}")
 
-# relatives()[t-1] is the day-t multiplicative growth close[t]/close[t-1]
+# relatives()[t-1] is the day-t multiplicative growth close[t]/close[t-1];
+# the series divides its closes once and every consumer slices this array
 rel = series.relatives()
 print(f"relatives shape {rel.shape}, day-1 row {np.round(rel[0], 4)}")
 
 # rolling covariance at day t only reads closes up to t-1 (no look-ahead)
-returns = returns_matrix(series)
-cov = rolling_covariance(returns, t=100, k=21)
-print(f"cov window k=21 anchored at day 100, diag {np.round(np.diag(cov.matrix), 8)}")
+cov = rolling_covariance(series, t=100, k=21)
+print(f"cov window k=21 anchored at day 100, diag {np.round(np.diag(cov), 8)}")
 
 # short-term risk of the uniform portfolio under that covariance
 w = uniform_weights(series.n_assets)
-print(f"sigma_alpha(uniform) = {sigma_alpha_value(w, cov.matrix):.6f}")
+print(f"sigma_alpha(uniform) = {sigma_alpha_value(w, cov):.6f}")
 
 # hold the uniform portfolio through both regimes and summarise the curve;
 # the realised short-term risk series feeds the report alongside equity
 growth = rel @ w
 equity = np.concatenate([[1.0], np.cumprod(growth)])
 risks = [
-    sigma_alpha_value(w, rolling_covariance(returns, t=t, k=21).matrix)
+    sigma_alpha_value(w, rolling_covariance(series, t=t, k=21))
     for t in range(22, series.n_days)
 ]
 report = build_report(equity, risks)

@@ -26,7 +26,6 @@ from .market_data import (
     OhlcvSeries,
     Regime,
     load_ohlcv,
-    returns_matrix,
     rolling_covariance,
     synth_generate,
     write_ohlcv_csv,
@@ -87,7 +86,6 @@ __all__ = [
     "OhlcvSeries",
     "Regime",
     "load_ohlcv",
-    "returns_matrix",
     "rolling_covariance",
     "synth_generate",
     "write_ohlcv_csv",

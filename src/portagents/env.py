@@ -54,7 +54,7 @@ def build_observation(
     n = series.n_assets
     if day < window or day > series.n_days - 1:
         raise SeriesTooShort(f"day {day} outside [{window}, {series.n_days - 1}]")
-    rel = series.close[day - window + 1 : day + 1] / series.close[day - window : day]
+    rel = series.relatives()[day - window : day]
     h = uniform_weights(n) if holdings is None else np.asarray(holdings, dtype=np.float64)
     vm = (
         np.zeros(N_MARKET_FEATURES)
@@ -168,7 +168,7 @@ class TradingEnv:
         s = self.state
         turnover = 0.5 * float(np.abs(a - s.holdings).sum())
         cost = self.c_tx * turnover
-        relatives = self.series.close[s.day + 1] / self.series.close[s.day]
+        relatives = self.series.relatives()[s.day]
         growth = (1.0 - cost) * float(a @ relatives)
         s.capital *= growth
         s.holdings = drifted_holdings(a, relatives)

@@ -25,9 +25,7 @@ from .errors import ConfigError, DataSplitTooSmall, IoFailure
 from .market_data import (
     OhlcvSeries,
     LoadConfig,
-    ReturnsMatrix,
     load_ohlcv,
-    returns_matrix,
     rolling_covariance,
     synth_from_spec,
 )
@@ -326,7 +324,6 @@ def _agent_policy(agent: Td3Agent, explore: bool):
 def _run_pass(
     policy,
     series: OhlcvSeries,
-    returns: ReturnsMatrix,
     config: RunConfig,
     seg: tuple[int, int],
     *,
@@ -354,7 +351,7 @@ def _run_pass(
 
     # the observer sees the latest relatives of every day from the first
     # observable one (env.window) through today: row d-1 is day d's
-    relatives = series.relatives() if tier == "triple" else None
+    relatives = series.relatives()
 
     obs = env.reset()
     o_prev = obs
@@ -403,7 +400,7 @@ def _run_pass(
 
         cov = None
         if need_risk:
-            cov = rolling_covariance(returns, t=o_t.day, k=k).matrix
+            cov = rolling_covariance(series, t=o_t.day, k=k)
         if tier in ("dual", "triple"):
             problem = RiskControlProblem(
                 a_rl=a_rl,
@@ -504,7 +501,6 @@ def train(
     seed = config.seed if seed is None else seed
     if series is None:
         series = config.load_series()
-    returns = returns_matrix(series)
     train_seg, val_seg, _ = split_indices(series.n_days, config.splits)
     if train_seg[1] - train_seg[0] < config.env.window + 3:
         raise DataSplitTooSmall(f"train segment {train_seg} too short")
@@ -532,7 +528,6 @@ def train(
         result = _run_pass(
             _agent_policy(agent, explore=True),
             series,
-            returns,
             config,
             train_seg,
             tier=config.tier,
@@ -547,7 +542,6 @@ def train(
             val = _run_pass(
                 _agent_policy(agent, explore=False),
                 series,
-                returns,
                 config,
                 val_seg,
                 tier=config.tier,
@@ -612,7 +606,6 @@ def backtest(
     """Deterministic evaluation of a trained agent or baseline strategy on a
     segment (default: the test split)."""
     seed = config.seed if seed is None else seed
-    returns = returns_matrix(series)
     if seg is None:
         _, _, seg = split_indices(series.n_days, config.splits)
     if trace:
@@ -630,7 +623,6 @@ def backtest(
     result = _run_pass(
         step,
         series,
-        returns,
         config,
         seg,
         tier=tier,

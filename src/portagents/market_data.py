@@ -2,8 +2,8 @@
 regime-switching price generation.
 
 Conventions: the date axis is ascending, day indices are 0-based, and the
-return realised on day t is close[t]/close[t-1] - 1 (available for
-t = 1..T-1, stored at row t-1 of the returns matrix).
+price relative realised on day t is close[t]/close[t-1] (available for
+t = 1..T-1, stored at row t-1 of ``OhlcvSeries.relatives()``).
 """
 
 from __future__ import annotations
@@ -57,10 +57,15 @@ class OhlcvSeries:
             arr = getattr(self, name)
             if arr.shape != (t, n):
                 raise SeriesTooShort(f"{name} shape {arr.shape} != {(t, n)}")
+            if not np.all(np.isfinite(arr)):
+                raise NonPositivePrice(f"{name} contains a price that is not finite")
             if not np.all(arr > 0.0):
                 raise NonPositivePrice(f"{name} contains non-positive prices")
         if list(self.dates) != sorted(self.dates):
             raise UnparseableDate("dates are not ascending")
+        # every pass slices this one array, so none may write into it
+        self._relatives = self.close[1:] / self.close[:-1]
+        self._relatives.setflags(write=False)
 
     @property
     def n_days(self) -> int:
@@ -71,40 +76,8 @@ class OhlcvSeries:
         return self.close.shape[1]
 
     def relatives(self) -> np.ndarray:
-        """All price relatives close[t]/close[t-1], shape (T-1, N)."""
-        return self.close[1:] / self.close[:-1]
-
-
-@dataclass
-class ReturnsMatrix:
-    """Simple returns; row t-1 holds the day-t return close[t]/close[t-1] - 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise SeriesTooShort("returns matrix must be 2-D")
-
-    @classmethod
-    def from_series(cls, series: OhlcvSeries) -> "ReturnsMatrix":
-        return cls(series.relatives() - 1.0)
-
-
-@dataclass
-class CovarianceEstimate:
-    """Rolling sample covariance anchored at day t (uses data up to t-1)."""
-
-    matrix: np.ndarray
-    window: int
-    anchor: int
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise SeriesTooShort(f"covariance must be square, got {self.matrix.shape}")
-        if not np.allclose(self.matrix, self.matrix.T, atol=1e-12):
-            raise ValueError("covariance matrix is not symmetric")
+        """All price relatives close[t]/close[t-1], shape (T-1, N), read-only."""
+        return self._relatives
 
 
 def _parse_iso_date(text: str, line_no: int) -> str:
@@ -248,28 +221,23 @@ def write_ohlcv_csv(series: OhlcvSeries, path):
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def returns_matrix(series: OhlcvSeries) -> ReturnsMatrix:
-    return ReturnsMatrix.from_series(series)
-
-
-def rolling_covariance(returns: ReturnsMatrix, t: int, k: int = 21) -> CovarianceEstimate:
-    """Sample covariance (divisor k-1) of the k return rows for days
-    t-k..t-1, anchored at day t.
+def rolling_covariance(series: OhlcvSeries, t: int, k: int = 21) -> np.ndarray:
+    """Sample covariance (divisor k-1) of the k simple-return rows for days
+    t-k..t-1, anchored at day t; an (N, N) matrix.
 
     Only closes up to day t-1 enter the estimate (no look-ahead); day t needs
     t >= k+1 so that all k rows exist.
     """
     if k < 2:
         raise InsufficientHistory(f"window k={k} must be >= 2")
-    n_rows = returns.values.shape[0]
+    relatives = series.relatives()
+    n_rows = relatives.shape[0]
     if t < k + 1:
         raise InsufficientHistory(f"anchor t={t} needs t >= k+1 = {k + 1}")
     if t - 1 > n_rows:
         raise InsufficientHistory(f"anchor t={t} beyond available returns ({n_rows} rows)")
-    window = returns.values[t - k - 1 : t - 1]
-    cov = np.cov(window, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    return CovarianceEstimate(matrix=cov, window=k, anchor=t)
+    window = relatives[t - k - 1 : t - 1] - 1.0
+    return np.atleast_2d(np.cov(window, rowvar=False, ddof=1))
 
 
 # -- synthetic data ----------------------------------------------------------

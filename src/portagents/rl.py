@@ -167,6 +167,12 @@ class Td3Config:
             raise ValueError(f"batch_size {self.batch_size} must be >= 1")
         if self.buffer_capacity < 1:
             raise ValueError(f"buffer_capacity {self.buffer_capacity} must be >= 1")
+        # a ring that never holds max(warmup, batch_size) rows never updates
+        for name in ("batch_size", "warmup"):
+            if getattr(self, name) > self.buffer_capacity:
+                raise ValueError(
+                    f"{name} {getattr(self, name)} > buffer_capacity {self.buffer_capacity}"
+                )
 
 
 class Td3Agent:
@@ -228,10 +234,10 @@ class Td3Agent:
             target.flat *= 1.0 - tau
             target.flat += tau * live.flat
 
-    def update(self, buffer: ReplayBuffer, batch_size: int | None = None) -> dict:
-        """One TD3 step: both critics every call, actor + target nets every
-        ``policy_delay``-th call."""
-        bs = batch_size or self.config.batch_size
+    def update(self, buffer: ReplayBuffer) -> dict:
+        """One TD3 step on a ``config.batch_size`` sample: both critics every
+        call, actor + target nets every ``policy_delay``-th call."""
+        bs = self.config.batch_size
         obs, actions, obs_next, rewards = buffer.sample(bs)
 
         targets = self._td_targets(rewards, obs_next)

@@ -187,8 +187,7 @@ class RiskControlProblem:
 
     def __post_init__(self):
         self.a_rl = np.asarray(self.a_rl, dtype=np.float64)
-        matrix = getattr(self.cov, "matrix", self.cov)
-        self.cov = np.asarray(matrix, dtype=np.float64)
+        self.cov = np.asarray(self.cov, dtype=np.float64)
         n = self.a_rl.size
         if self.cov.shape != (n, n):
             raise DimensionMismatch(

@@ -20,7 +20,7 @@ from portagents.baselines import (
     rmr_update,
 )
 from portagents.harness import CallTrace, RunConfig, compare, train
-from portagents.market_data import returns_matrix, rolling_covariance
+from portagents.market_data import rolling_covariance
 from portagents.metrics import (
     check_weights,
     max_drawdown,
@@ -306,11 +306,11 @@ def test_05_metric_oracles():
         t_len = int(rng.integers(30, 61))
         n = int(rng.integers(2, 6))
         close = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(t_len, n)), axis=0))
-        returns = returns_matrix(series_from_close(close))
+        series = series_from_close(close)
         k = int(rng.integers(2, 10))
         t = int(rng.integers(k + 1, t_len - 1))
-        got = rolling_covariance(returns, t=t, k=k).matrix
-        rows = returns.values[t - 1 - k : t - 1]
+        got = rolling_covariance(series, t=t, k=k)
+        rows = series.relatives()[t - 1 - k : t - 1] - 1.0
         dev = rows - rows.mean(axis=0)
         oracle = dev.T @ dev / (k - 1)
         cov_worst = max(cov_worst, float(np.abs(got - oracle).max()))

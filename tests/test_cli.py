@@ -218,6 +218,12 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, (name, value)
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err, err
+    # a ring that never holds a batch or the warmup would never update
+    for name in ("batch_size", "warmup"):
+        bad.write_text(json.dumps({**CONFIG, "agent": {**CONFIG["agent"], name: 513}}))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, name
+        err = capsys.readouterr().err
+        assert name in err and "buffer_capacity" in err and "Traceback" not in err, err
 
 
 def test_exit_code_3_on_data_errors(tmp_path):
@@ -238,6 +244,22 @@ def test_exit_code_3_on_non_finite_close(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({**CONFIG, "data": {"file": str(csv_path)}}))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train"], ["compare", "--strategies", "crp,single"]],
+    ids=["train", "compare"],
+)
+def test_exit_code_3_on_synthetic_overflow(argv, tmp_path, capsys):
+    # 500% a day overflows the closes to inf after about 390 days
+    regime = {"length": 500, "drift": 5.0, "vol": 0.01}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**CONFIG, "data": {"synth": {"assets": 2, "regimes": [regime]}}}))
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "not finite" in err
     assert "Traceback" not in err

@@ -25,11 +25,13 @@ from portagents.harness import (
     split_indices,
     train,
 )
-from portagents.market_data import OhlcvSeries, ReturnsMatrix, returns_matrix, rolling_covariance
+from portagents.market_data import OhlcvSeries
 from portagents.metrics import sigma_alpha_value
 from portagents.observer import DcObserver, MlpObserver, ObserverConfig
 from portagents.rl import RewardConfig, episode_reward, load_agent, per_step_reward
 from test_acceptance import PIPELINE_CONFIG
+from test_relatives_oracle import ReturnsMatrix, returns_matrix
+from test_relatives_oracle import old_rolling_covariance as rolling_covariance
 
 
 def small_config(**over):

@@ -18,7 +18,6 @@ from portagents.market_data import (
     LoadConfig,
     Regime,
     load_ohlcv,
-    returns_matrix,
     rolling_covariance,
     synth_from_spec,
     synth_generate,
@@ -67,6 +66,13 @@ def test_load_rejects_non_finite_close(tmp_path, close):
     path = write_long_csv(tmp_path / "p.csv", rows)
     with pytest.raises(NonPositivePrice, match="not finite"):
         load_ohlcv(path, LoadConfig())
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_series_rejects_non_finite_price(bad):
+    close = np.array([[100.0, 50.0], [101.0, bad], [102.0, 52.0]])
+    with pytest.raises(NonPositivePrice, match="not finite"):
+        series_from_close(close)
 
 
 def test_load_rejects_missing_column(tmp_path):
@@ -157,35 +163,33 @@ def test_price_relatives_bounds():
 
 
 def test_returns_matrix_row_semantics():
+    # row t-1 of relatives() - 1 is the day-t simple return
     series = series_from_close([[100.0], [110.0], [99.0]])
-    returns = returns_matrix(series)
-    np.testing.assert_allclose(returns.values[:, 0], [0.10, -0.10], atol=1e-12)
+    np.testing.assert_allclose(series.relatives()[:, 0] - 1.0, [0.10, -0.10], atol=1e-12)
 
 
 def test_rolling_covariance_constant_returns_zero():
     series = series_from_close(np.outer(1.01 ** np.arange(8), [100.0, 50.0]))
-    returns = returns_matrix(series)
-    cov = rolling_covariance(returns, t=5, k=3)
-    np.testing.assert_allclose(cov.matrix, np.zeros((2, 2)), atol=1e-12)
+    cov = rolling_covariance(series, t=5, k=3)
+    np.testing.assert_allclose(cov, np.zeros((2, 2)), atol=1e-12)
 
 
 def test_rolling_covariance_hand_case():
     # one asset, day-1 return 0.01 and day-2 return 0.03, k=2, anchored at t=3:
     # sample variance with divisor k-1 = (0.01-0.02)^2 + (0.03-0.02)^2 = 0.0002
     close = [[100.0], [101.0], [101.0 * 1.03], [104.0 * 1.03]]
-    returns = returns_matrix(series_from_close(close))
-    cov = rolling_covariance(returns, t=3, k=2)
-    np.testing.assert_allclose(cov.matrix, [[0.0002]], atol=1e-15)
+    cov = rolling_covariance(series_from_close(close), t=3, k=2)
+    np.testing.assert_allclose(cov, [[0.0002]], atol=1e-15)
 
 
 def test_rolling_covariance_matches_two_pass_oracle():
     rng = np.random.default_rng(11)
     close = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(40, 3)), axis=0))
-    returns = returns_matrix(series_from_close(close))
+    series = series_from_close(close)
     k = 10
     for t in (k + 1, 20, 39):
-        got = rolling_covariance(returns, t=t, k=k).matrix
-        window = returns.values[t - k - 1 : t - 1]
+        got = rolling_covariance(series, t=t, k=k)
+        window = series.relatives()[t - k - 1 : t - 1] - 1.0
         mean = window.mean(axis=0)
         want = np.zeros((3, 3))
         for a in range(3):  # independent two-pass loop
@@ -199,19 +203,18 @@ def test_rolling_covariance_matches_two_pass_oracle():
 def test_rolling_covariance_no_lookahead():
     rng = np.random.default_rng(12)
     close = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(30, 2)), axis=0))
-    base = rolling_covariance(returns_matrix(series_from_close(close)), t=20, k=5).matrix
+    base = rolling_covariance(series_from_close(close), t=20, k=5)
     bumped = close.copy()
     bumped[20:] *= 1.5  # perturb day t and later; estimate at t must not move
-    after = rolling_covariance(returns_matrix(series_from_close(bumped)), t=20, k=5).matrix
+    after = rolling_covariance(series_from_close(bumped), t=20, k=5)
     np.testing.assert_array_equal(base, after)
 
 
 def test_rolling_covariance_insufficient_history():
     series = series_from_close(np.full((10, 2), 5.0))
-    returns = returns_matrix(series)
     with pytest.raises(InsufficientHistory):
-        rolling_covariance(returns, t=5, k=5)  # needs t >= k+1
-    rolling_covariance(returns, t=6, k=5)
+        rolling_covariance(series, t=5, k=5)  # needs t >= k+1
+    rolling_covariance(series, t=6, k=5)
 
 
 def test_synth_degenerate_regime_constant_prices():

@@ -11,7 +11,7 @@ from scipy.optimize import minimize
 
 from helpers import random_psd, random_simplex
 from portagents.errors import BudgetTooSmall, DimensionMismatch, NonFiniteInput
-from portagents.market_data import returns_matrix, rolling_covariance, synth_from_spec
+from portagents.market_data import rolling_covariance, synth_from_spec
 from portagents.metrics import sigma_alpha_value
 from portagents.solver import (
     RiskControlProblem,
@@ -348,11 +348,11 @@ def test_de_close_to_slsqp_oracle_on_crash_market():
             {"length": 150, "drift": -0.002, "vol": 0.035, "corr": 0.6},
         ],
     }
-    returns = returns_matrix(synth_from_spec(spec))
+    series = synth_from_spec(spec)
     rng = np.random.default_rng(5)
     ratios = []
     for k, day in enumerate(np.linspace(30, 745, 50).astype(int)):
-        cov = rolling_covariance(returns, t=int(day), k=21).matrix
+        cov = rolling_covariance(series, t=int(day), k=21)
         a_rl = random_simplex(rng, 5)
         result = propose_control(
             RiskControlProblem(a_rl, cov, sigma_s=0.0, mu=0.0),
