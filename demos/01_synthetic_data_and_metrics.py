@@ -8,7 +8,7 @@ performance measures computed from it.
 
 import numpy as np
 
-from portagents.market_data import rolling_covariance, synth_generate
+from portagents.market_data import Regime, rolling_covariance, synth_generate
 from portagents.metrics import (
     build_report,
     sigma_alpha_value,
@@ -19,8 +19,8 @@ from portagents.metrics import (
 # a calm year followed by a volatile quarter, five correlated assets
 series = synth_generate(
     regimes=[
-        {"length": 252, "drift": 0.0004, "vol": 0.008, "corr": 0.3},
-        {"length": 63, "drift": -0.002, "vol": 0.03, "corr": 0.6},
+        Regime(length=252, drift=0.0004, vol=0.008, corr=0.3),
+        Regime(length=63, drift=-0.002, vol=0.03, corr=0.6),
     ],
     n_assets=5,
     seed=7,

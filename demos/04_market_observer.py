@@ -12,7 +12,7 @@ calm-then-stormy market.
 import numpy as np
 
 from portagents.env import TradingEnv
-from portagents.market_data import synth_generate
+from portagents.market_data import Regime, synth_generate
 from portagents.metrics import uniform_weights
 from portagents.observer import DcObserver, MlpObserver, ObserverConfig, dc_detect
 
@@ -25,8 +25,8 @@ for ev in dc_detect(prices, theta=0.02):
 # calm regime then a crash; observations come from the trading env
 series = synth_generate(
     regimes=[
-        {"length": 150, "drift": 0.0005, "vol": 0.006, "corr": 0.2},
-        {"length": 60, "drift": -0.004, "vol": 0.03, "corr": 0.6},
+        Regime(length=150, drift=0.0005, vol=0.006, corr=0.2),
+        Regime(length=60, drift=-0.004, vol=0.03, corr=0.6),
     ],
     n_assets=4,
     seed=21,

@@ -11,11 +11,11 @@ how far the executed action drifted from the proposed one.
 import numpy as np
 
 from portagents.env import TradingEnv, observation_dim
-from portagents.market_data import synth_generate
+from portagents.market_data import Regime, synth_generate
 from portagents.rl import RewardConfig, episode_reward, jensen_shannon, per_step_reward
 
 series = synth_generate(
-    regimes=[{"length": 80, "drift": 0.001, "vol": 0.012, "corr": 0.2}],
+    regimes=[Regime(length=80, drift=0.001, vol=0.012, corr=0.2)],
     n_assets=3,
     seed=13,
 )

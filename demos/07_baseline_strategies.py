@@ -12,7 +12,7 @@ a pure update rule plus a stateful day-by-day driver.
 import numpy as np
 
 from portagents import baselines
-from portagents.market_data import synth_generate
+from portagents.market_data import Regime, synth_generate
 from portagents.metrics import max_drawdown
 
 # the update rules are visible directly: EG tilts toward yesterday's winner
@@ -33,8 +33,8 @@ print("l1 median of collinear points", np.round(baselines.l1_median(pts), 6))
 # drive all six through one synthetic market and summarise
 series = synth_generate(
     regimes=[
-        {"length": 120, "drift": [0.002, 0.0, -0.001], "vol": 0.01, "corr": 0.2},
-        {"length": 120, "drift": [-0.002, 0.0, 0.002], "vol": 0.015, "corr": 0.2},
+        Regime(length=120, drift=[0.002, 0.0, -0.001], vol=0.01, corr=0.2),
+        Regime(length=120, drift=[-0.002, 0.0, 0.002], vol=0.015, corr=0.2),
     ],
     n_assets=3,
     seed=4,

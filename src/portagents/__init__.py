@@ -8,11 +8,11 @@ against classic online portfolio selection baselines on shared data splits.
 """
 
 from .env import Observation, TradingEnv, build_observation, drifted_holdings, observation_dim
+from .config import RunConfig
 from .errors import ConfigError, DataError, PortAgentsError
 from .harness import (
     CallTrace,
     ComparisonReport,
-    RunConfig,
     TrainResult,
     ablate,
     backtest,

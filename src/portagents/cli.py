@@ -18,7 +18,7 @@ from pathlib import Path
 from . import baselines, harness
 from .env import observation_dim
 from .errors import ConfigError, DataError
-from .harness import RunConfig
+from .config import RunConfig
 from .market_data import write_ohlcv_csv
 from .rl import load_agent
 

@@ -9,26 +9,20 @@ serialisation.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baselines
+from .config import RunConfig
 from .env import TradingEnv, observation_dim
 from .errors import ConfigError, DataSplitTooSmall, IoFailure
-from .market_data import (
-    OhlcvSeries,
-    LoadConfig,
-    load_ohlcv,
-    rolling_covariance,
-    synth_from_spec,
-)
+from .market_data import OhlcvSeries, rolling_covariance
 from .metrics import (
     PerformanceReport,
     build_report,
@@ -48,7 +42,6 @@ from .rl import (
     ReplayBuffer,
     RewardConfig,
     Td3Agent,
-    Td3Config,
     episode_reward,
     jensen_shannon,
     per_step_reward,
@@ -58,201 +51,7 @@ from .solver import RiskControlProblem, propose_control
 
 log = logging.getLogger("portagents")
 
-TIERS = ("single", "dual", "triple")
 PLOT_SERIES_KINDS = ("equity", "risk", "adjustment")
-
-
-@dataclass
-class SolverConfig:
-    """Wire format of the solver block."""
-
-    population: int = 20
-    f: float = 0.8
-    cr: float = 0.9
-    budget: int = 2000
-    mu: float = 0.1
-    sigma_mode: str = "hard"
-
-    def __post_init__(self):
-        if self.sigma_mode not in ("hard", "target"):
-            raise ConfigError(f"unknown sigma_mode {self.sigma_mode!r}")
-
-
-@dataclass
-class EnvBlock:
-    window: int = 10
-    c_tx: float = 0.0
-    c0: float = 1.0
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ConfigError("env.window must be >= 1")
-        if not 0.0 <= self.c_tx < 1.0:
-            raise ConfigError("env.c_tx must be in [0, 1)")
-        if self.c0 <= 0:
-            raise ConfigError("env.c0 must be positive")
-
-
-@dataclass
-class MetricsBlock:
-    risk_free_rate: float = 0.0
-    days_per_year: int = 252
-    cov_window: int = 21
-
-    def __post_init__(self):
-        if self.cov_window < 2:
-            raise ConfigError("metrics.cov_window must be >= 2")
-        if self.days_per_year < 1:
-            raise ConfigError("metrics.days_per_year must be >= 1")
-
-
-_DEFAULT_STRATEGIES = ("crp", "eg", "olmar", "pamr", "rmr", "corn", "single", "triple")
-
-
-_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
-
-
-def _kind_name(default) -> str:
-    if isinstance(default, tuple):
-        return f"list of {_kind_name(default[0])}"
-    return _JSON_KINDS[type(default)]
-
-
-def _same_kind(value, default) -> bool:
-    """Whether a config value has the type of its field's default. An int
-    stands for a float, and a list for a tuple of the default's item type."""
-    if isinstance(value, bool) != isinstance(default, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_same_kind(v, default[0]) for v in value)
-    return isinstance(value, type(default))
-
-
-def _check_types(cls, raw: dict, prefix: str):
-    """Raise ConfigError naming the first field whose value has another type
-    than the field's default; fields that default to None take any value."""
-    for f in dataclasses.fields(cls):
-        if f.name not in raw:
-            continue
-        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        if default is None or _same_kind(raw[f.name], default):
-            continue
-        raise ConfigError(
-            f"{prefix}{f.name} must be of type {_kind_name(default)}, got {raw[f.name]!r}"
-        )
-
-
-def _build_block(cls, raw: dict, name: str):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be of type object, got {raw!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"unknown {name} fields {sorted(extra)}")
-    _check_types(cls, raw, f"{name}.")
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} block: {exc}") from exc
-
-
-@dataclass
-class RunConfig:
-    """One experiment: data source, splits, tier wiring, hyperparameters."""
-
-    data: dict = field(default_factory=dict)
-    seed: int = 0
-    runs: int = 1
-    tier: str = "triple"
-    max_episode: int = 10
-    splits: tuple = (0.5, 0.2, 0.3)
-    strategies: tuple = _DEFAULT_STRATEGIES
-    reference: str | None = None
-    reward: RewardConfig = field(default_factory=RewardConfig)
-    agent: Td3Config = field(default_factory=Td3Config)
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    observer: ObserverConfig = field(default_factory=ObserverConfig)
-    env: EnvBlock = field(default_factory=EnvBlock)
-    metrics: MetricsBlock = field(default_factory=MetricsBlock)
-
-    def __post_init__(self):
-        if self.tier not in TIERS:
-            raise ConfigError(f"tier {self.tier!r} not in {TIERS}")
-        if self.max_episode < 1:
-            raise ConfigError("max_episode must be >= 1")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        s = tuple(float(x) for x in self.splits)
-        if len(s) != 3 or any(x < 0 for x in s) or abs(sum(s) - 1.0) > 1e-6:
-            raise ConfigError(f"splits {s} must be 3 non-negative fractions summing to 1")
-        self.splits = s
-        self.strategies = tuple(self.strategies)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        raw = dict(raw)
-        blocks = {
-            "reward": RewardConfig,
-            "agent": Td3Config,
-            "solver": SolverConfig,
-            "observer": ObserverConfig,
-            "env": EnvBlock,
-            "metrics": MetricsBlock,
-        }
-        kwargs = {}
-        for key, value in raw.items():
-            if key in blocks:
-                kwargs[key] = _build_block(blocks[key], value, key)
-            elif key in {f.name for f in dataclasses.fields(cls)}:
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"unknown config field {key!r}")
-        _check_types(cls, {k: v for k, v in kwargs.items() if k not in blocks}, "")
-        if "agent" in kwargs and isinstance(kwargs["agent"].hidden, list):
-            kwargs["agent"].hidden = tuple(kwargs["agent"].hidden)
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
-
-    @classmethod
-    def from_json_file(cls, path) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config document must be a JSON object")
-        return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["splits"] = list(self.splits)
-        out["strategies"] = list(self.strategies)
-        out["agent"]["hidden"] = list(self.agent.hidden)
-        return out
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
-    def load_series(self) -> OhlcvSeries:
-        extra = set(self.data) - {"file", "load", "synth"}
-        if extra:
-            raise ConfigError(f"unknown data fields {sorted(extra)}")
-        if "file" in self.data:
-            if not isinstance(self.data["file"], str):
-                raise ConfigError(f"data.file must be of type string, got {self.data['file']!r}")
-            load_cfg = _build_block(LoadConfig, self.data.get("load", {}), "data.load")
-            return load_ohlcv(self.data["file"], load_cfg)
-        if "synth" in self.data:
-            return synth_from_spec(self.data["synth"])
-        raise ConfigError("data block needs either 'file' or 'synth'")
 
 
 def split_indices(n_days: int, splits) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
@@ -694,15 +493,11 @@ class ComparisonReport:
 
 
 def _mean_rows(name: str, reports: list[PerformanceReport]) -> dict:
-    return {
-        "strategy": name,
-        "ar": float(np.mean([r.annualised_return for r in reports])),
-        "mdd": float(np.mean([r.max_drawdown for r in reports])),
-        "sharpe": float(np.mean([r.sharpe for r in reports])),
-        "risk": float(np.mean([r.mean_short_term_risk for r in reports])),
-        "vol": float(np.mean([r.volatility for r in reports])),
-        "t_days": int(reports[0].trading_days),
-    }
+    """The report row of one strategy: each field of its seeds' reports
+    averaged, but the trading days, which every seed shares."""
+    flats = [r.to_flat_dict() for r in reports]
+    means = {key: float(np.mean([f[key] for f in flats])) for key in flats[0]}
+    return {"strategy": name, **means, "t_days": flats[0]["t_days"]}
 
 
 def compare(

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyIntersection,
     InsufficientHistory,
     InvalidRegime,
@@ -119,6 +119,14 @@ class LoadConfig:
     low_column: str = "low"
     close_column: str = "close"
 
+    def __post_init__(self):
+        if self.layout not in ("long", "wide"):
+            raise ConfigError(f"data.load.layout {self.layout!r} must be 'long' or 'wide'")
+        if len(self.delimiter) != 1 or self.delimiter in "\r\n":
+            raise ConfigError(
+                f"data.load.delimiter {self.delimiter!r} must be one character other than a line break"
+            )
+
 
 def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
     """Load and align a CSV of daily prices.
@@ -158,7 +166,7 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
                 _parse_price(row[col[name]], line_no, name) for name in price_cols
             )
             cells.setdefault(asset, {})[date] = prices
-    elif cfg.layout == "wide":
+    else:  # wide
         asset_cols = [(name, i) for name, i in col.items() if name != cfg.date_column]
         if not asset_cols:
             raise MissingColumn("wide layout needs at least one asset column")
@@ -172,8 +180,6 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
                     continue  # missing cell: the date drops out of the intersection
                 c = _parse_price(text, line_no, name)
                 cells.setdefault(name, {})[date] = (c, c, c, c)
-    else:
-        raise MissingColumn(f"unknown layout {cfg.layout!r}")
 
     if not cells:
         raise EmptyIntersection(f"{path} has no data rows")
@@ -251,58 +257,36 @@ class Regime:
     single pairwise correlation applied across assets.
     """
 
-    drift: object = 0.0
-    vol: object = 0.0
+    drift: float | list[float] = 0.0
+    vol: float | list[float] = 0.0
     length: int = 1
     corr: float = 0.0
 
-    @classmethod
-    def from_dict(cls, raw: dict, name: str = "regime") -> "Regime":
-        """Build a regime from a JSON-style object; ``name`` prefixes the
-        field named in an InvalidRegime message."""
-        if not isinstance(raw, dict):
-            raise InvalidRegime(f"{name} must be of type object, got {raw!r}")
-        extra = set(raw) - set(_REGIME_KINDS)
-        if extra:
-            raise InvalidRegime(f"unknown {name} fields {sorted(extra)}")
-        for key, value in raw.items():
-            per_asset = key in ("drift", "vol") and isinstance(value, (list, tuple))
-            ok = all(map(_is_number, value)) if per_asset else _is_number(value)
-            if not ok or (key == "length" and not isinstance(value, numbers.Integral)):
-                raise InvalidRegime(f"{name}.{key} must be of type {_REGIME_KINDS[key]}, got {value!r}")
-        return cls(**raw)
 
-
-_PER_ASSET = "number or list of numbers"
-_REGIME_KINDS = {"drift": _PER_ASSET, "vol": _PER_ASSET, "length": "integer", "corr": "number"}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _regime_params(regime: Regime, n_assets: int):
+def _regime_params(regime: Regime, n_assets: int, name: str):
+    """Per-asset drift and vol and the correlation's Cholesky factor; range
+    errors name the regime's fields under ``name``."""
     try:
         drift = np.broadcast_to(np.asarray(regime.drift, dtype=np.float64), (n_assets,))
         vol = np.broadcast_to(np.asarray(regime.vol, dtype=np.float64), (n_assets,))
     except ValueError as exc:
-        raise InvalidRegime(f"regime drift and vol need one value or {n_assets} values") from exc
+        raise InvalidRegime(f"{name}.drift and .vol need one value or {n_assets} values") from exc
     length = int(regime.length)
     corr = float(regime.corr)
     if length < 1:
-        raise InvalidRegime(f"regime length {length} must be >= 1")
+        raise InvalidRegime(f"{name}.length {length} must be >= 1")
     if np.any(vol < 0.0):
-        raise InvalidRegime("regime volatility must be non-negative")
+        raise InvalidRegime(f"{name}.vol must be non-negative")
     if np.any(drift <= -1.0):
-        raise InvalidRegime("regime drift must stay above -100%/day")
+        raise InvalidRegime(f"{name}.drift must stay above -100%/day")
     if not -1.0 < corr <= 1.0:
-        raise InvalidRegime(f"correlation {corr} outside (-1, 1]")
+        raise InvalidRegime(f"{name}.corr {corr} outside (-1, 1]")
     c = np.full((n_assets, n_assets), corr)
     np.fill_diagonal(c, 1.0)
     try:
         chol = np.linalg.cholesky(c)
     except np.linalg.LinAlgError as exc:
-        raise InvalidRegime(f"correlation {corr} is not PSD for {n_assets} assets") from exc
+        raise InvalidRegime(f"{name}.corr {corr} is not PSD for {n_assets} assets") from exc
     return drift, vol, chol
 
 
@@ -319,17 +303,14 @@ def synth_generate(
     close[0] = s0; each later day multiplies by
     (1 + drift) * exp(vol*z - vol^2/2) with z correlated across assets, so a
     zero-vol regime compounds exactly at (1 + drift) per day. Identical seeds
-    give bit-identical output.
+    give bit-identical output. A regime that compounds a close past the
+    float range raises NonPositivePrice naming the regime and the day.
     """
     if n_assets < 1:
         raise InvalidRegime("need at least one asset")
-    regimes = [
-        r if isinstance(r, Regime) else Regime.from_dict(r, f"regimes[{i}]")
-        for i, r in enumerate(regimes)
-    ]
     if not regimes:
-        raise InvalidRegime("need at least one regime")
-    params = [_regime_params(r, n_assets) for r in regimes]
+        raise InvalidRegime("regimes must hold at least one regime")
+    params = [_regime_params(r, n_assets, f"regimes[{i}]") for i, r in enumerate(regimes)]
     total = sum(int(r.length) for r in regimes)
     if total < 2:
         raise InvalidRegime("regimes must cover at least 2 days")
@@ -338,7 +319,7 @@ def synth_generate(
     close = np.empty((total, n_assets))
     close[0] = s0
     day = 1
-    for (drift, vol, chol), regime in zip(params, regimes):
+    for i, ((drift, vol, chol), regime) in enumerate(zip(params, regimes)):
         length = int(regime.length)
         # the first regime loses its first day to the s0 anchor
         steps = length - 1 if day == 1 else length
@@ -346,10 +327,15 @@ def synth_generate(
         if steps <= 0:
             continue
         z = rng.standard_normal((steps, n_assets)) @ chol.T
-        factors = (1.0 + drift) * np.exp(vol * z - 0.5 * vol * vol)
-        for s in range(steps):
-            close[day] = close[day - 1] * factors[s]
-            day += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = (1.0 + drift) * np.exp(vol * z - 0.5 * vol * vol)
+            for s in range(steps):
+                close[day] = close[day - 1] * factors[s]
+                day += 1
+        finite = np.isfinite(close[day - steps : day]).all(axis=1)
+        if not finite.all():
+            first = day - steps + int(np.argmin(finite))
+            raise NonPositivePrice(f"regimes[{i}] makes a close that is not finite on day {first}")
 
     open_ = np.empty_like(close)
     open_[0] = close[0]
@@ -364,33 +350,9 @@ def synth_generate(
     )
 
 
-def synth_from_spec(spec: dict) -> OhlcvSeries:
-    """Build a synthetic series from a JSON-style spec document.
-
-    Expected keys: ``assets`` (int), ``regimes`` (list of regime dicts),
-    optional ``seed``, ``s0``, ``asset_prefix``, ``start_date``.
-    """
-    if not isinstance(spec, dict):
-        raise InvalidRegime("synthetic spec must be an object")
-    if "regimes" not in spec or "assets" not in spec:
-        raise InvalidRegime("synthetic spec needs 'assets' and 'regimes'")
-
-    def value(key, kind, default=None):
-        raw = spec.get(key, default)
-        try:
-            return kind(raw)
-        except (TypeError, ValueError) as exc:
-            kind_name = {int: "integer", float: "number"}[kind]
-            raise InvalidRegime(f"data.synth.{key} must be of type {kind_name}, got {raw!r}") from exc
-
-    regimes = spec["regimes"]
-    if not isinstance(regimes, list):
-        raise InvalidRegime(f"data.synth.regimes must be of type list of objects, got {regimes!r}")
+def synth_from_spec(spec) -> OhlcvSeries:
+    """Build a synthetic series from a checked ``data.synth`` block
+    (a ``config.SynthSpec``)."""
     return synth_generate(
-        regimes=[Regime.from_dict(r, f"data.synth.regimes[{i}]") for i, r in enumerate(regimes)],
-        n_assets=value("assets", int),
-        seed=value("seed", int, 0),
-        s0=value("s0", float, 100.0),
-        asset_prefix=str(spec.get("asset_prefix", "A")),
-        start_date=str(spec.get("start_date", "2000-01-01")),
+        spec.regimes, spec.assets, spec.seed, spec.s0, spec.asset_prefix, spec.start_date
     )

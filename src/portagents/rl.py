@@ -144,7 +144,7 @@ class ReplayBuffer:
 
 @dataclass
 class Td3Config:
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     gamma: float = 0.99
     tau: float = 0.005
     policy_delay: int = 2
@@ -330,16 +330,16 @@ def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None) ->
         raise IoFailure(f"{path} is not an agent checkpoint")
     rest = blob[len(_MAGIC_AGENT) :]
     header_line, _, raw = rest.partition(b"\n")
+    from .config import from_json  # config imports this module for Td3Config
+
     try:
         header = json.loads(header_line)
         if not isinstance(header, dict) or (header.get("version"), header.get("format")) != (1, "td3-agent"):
             raise IoFailure(f"unsupported agent checkpoint header in {path}")
-        cfg_dict = dict(header["config"])
-        cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
         agent = Td3Agent(
             obs_dim=int(header["obs_dim"]),
             n_assets=int(header["n_assets"]),
-            config=Td3Config(**cfg_dict),
+            config=from_json(Td3Config, header["config"], "checkpoint agent"),
             seed=header.get("seed", 0),
         )
         offset = 0
@@ -347,7 +347,7 @@ def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None) ->
             net, offset = nn.net_from_header(header["nets"][name], raw, offset)
             setattr(agent, name, net)
         agent.update_count = int(header["update_count"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise IoFailure(f"corrupt agent checkpoint {path}: {exc}") from exc
     if offset != len(raw):
         raise IoFailure(f"agent checkpoint {path} body holds {len(raw)} bytes, its header {offset}")

@@ -224,6 +224,22 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, name
         err = capsys.readouterr().err
         assert name in err and "buffer_capacity" in err and "Traceback" not in err, err
+    # data.synth and data.load values that are well typed but not valid
+    csv_path = tmp_path / "prices.csv"
+    assert main(["synth", "--config", config_path, "--out", str(csv_path)]) == 0
+    for change, name in (
+        (with_synth(sede=5), "data.synth fields ['sede']"),
+        (with_synth(start_date="yesterday"), "data.synth.start_date"),
+        (with_synth(s0=-5), "data.synth.s0"),
+        ({"data": {"file": str(csv_path), "load": {"delimiter": ""}}}, "data.load.delimiter"),
+        ({"data": {"file": str(csv_path), "load": {"delimiter": ";;"}}}, "data.load.delimiter"),
+        ({"data": {"file": str(csv_path), "load": {"layout": "xyz"}}}, "data.load.layout"),
+    ):
+        capsys.readouterr()
+        bad.write_text(json.dumps({**CONFIG, **change}))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, change
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err, err
 
 
 def test_exit_code_3_on_data_errors(tmp_path):
@@ -254,6 +270,7 @@ def test_exit_code_3_on_non_finite_close(tmp_path, capsys):
     [["train"], ["compare", "--strategies", "crp,single"]],
     ids=["train", "compare"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_3_on_synthetic_overflow(argv, tmp_path, capsys):
     # 500% a day overflows the closes to inf after about 390 days
     regime = {"length": 500, "drift": 5.0, "vol": 0.01}
@@ -261,7 +278,7 @@ def test_exit_code_3_on_synthetic_overflow(argv, tmp_path, capsys):
     path.write_text(json.dumps({**CONFIG, "data": {"synth": {"assets": 2, "regimes": [regime]}}}))
     assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "not finite" in err
+    assert "regimes[0]" in err and "not finite on day" in err
     assert "Traceback" not in err
 
 
@@ -324,6 +341,11 @@ def test_exit_code_2_on_checkpoint_of_other_window(checkpoint_bytes, tmp_path, c
         (with_synth(regimes=5), "data.synth.regimes"),
         (with_synth(regimes=[{"length": "x"}]), "data.synth.regimes[0].length"),
         (with_synth(regimes=[{"length": 120}, {"length": 10, "drift": [0.1, "x"]}]), "data.synth.regimes[1].drift"),
+        (with_synth(assets=2.7), "data.synth.assets"),
+        (with_synth(assets="2"), "data.synth.assets"),
+        (with_synth(seed=11.9), "data.synth.seed"),
+        (with_synth(asset_prefix=[1]), "data.synth.asset_prefix"),
+        (with_synth(start_date=5), "data.synth.start_date"),
     ],
 )
 def test_exit_code_2_on_mistyped_config_field(change, field, tmp_path, capsys):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import series_from_close
+from portagents.config import RunConfig
 from portagents.errors import (
+    ConfigError,
     EmptyIntersection,
     InsufficientHistory,
     InvalidRegime,
@@ -19,12 +21,16 @@ from portagents.market_data import (
     Regime,
     load_ohlcv,
     rolling_covariance,
-    synth_from_spec,
     synth_generate,
     write_ohlcv_csv,
 )
 
 LONG_HEADER = "date,asset,open,high,low,close\n"
+
+
+def synth(spec):
+    """A series from a raw ``data.synth`` block, through the config checker."""
+    return RunConfig(data={"synth": spec}).load_series()
 
 
 def write_long_csv(path, rows):
@@ -224,8 +230,8 @@ def test_synth_degenerate_regime_constant_prices():
 
 def test_synth_deterministic():
     spec = {"assets": 4, "seed": 9, "regimes": [{"drift": 0.001, "vol": 0.03, "length": 25}]}
-    a = synth_from_spec(spec)
-    b = synth_from_spec(spec)
+    a = synth(spec)
+    b = synth(spec)
     np.testing.assert_array_equal(a.close, b.close)
     assert a.dates == b.dates
 
@@ -247,8 +253,8 @@ def test_synth_regime_lengths_and_ohlc_sanity():
 
 
 def test_synth_rejects_unknown_regime_field():
-    with pytest.raises(InvalidRegime):
-        Regime.from_dict({"drift": 0.0, "vol": 0.0, "length": 5, "mood": "sad"})
+    with pytest.raises(ConfigError, match=re.escape("unknown data.synth.regimes[0] fields ['mood']")):
+        synth({"assets": 2, "regimes": [{"drift": 0.0, "vol": 0.0, "length": 5, "mood": "sad"}]})
     with pytest.raises(InvalidRegime):
         synth_generate([Regime(0.0, -0.1, 5)], n_assets=2, seed=0)
 
@@ -265,12 +271,12 @@ def test_synth_rejects_unknown_regime_field():
     ],
 )
 def test_synth_names_mistyped_regime_field(raw, field):
-    with pytest.raises(InvalidRegime, match=rf"{re.escape(field)} must be of type"):
-        synth_generate([raw], n_assets=2, seed=0)
+    with pytest.raises(ConfigError, match=rf"{re.escape(field)} must be of type"):
+        synth({"assets": 2, "regimes": [raw]})
 
 
 def test_synth_per_asset_regime_lists():
-    series = synth_generate([{"length": 5, "drift": [0.01, 0.0], "vol": (0.0, 0.0)}], n_assets=2, seed=0)
+    series = synth({"assets": 2, "regimes": [{"length": 5, "drift": [0.01, 0.0], "vol": (0.0, 0.0)}]})
     np.testing.assert_allclose(series.close[-1], [100.0 * 1.01**4, 100.0])
     with pytest.raises(InvalidRegime, match="one value or 2 values"):
-        synth_generate([{"length": 5, "drift": [0.1, 0.2, 0.3]}], n_assets=2, seed=0)
+        synth({"assets": 2, "regimes": [{"length": 5, "drift": [0.1, 0.2, 0.3]}]})

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from portagents.env import build_observation, observation_dim
 from portagents import nn
 from portagents.errors import ConfigError, EmptyBatch, InsufficientHistory
-from portagents.harness import EnvBlock, RunConfig, _env_for_segment, backtest, split_indices, train
+from portagents.config import EnvBlock, RunConfig
+from portagents.harness import _env_for_segment, backtest, split_indices, train
 from portagents.market_data import Regime, synth_generate
 from portagents.observer import (
     DcMapping,

@@ -55,3 +55,5 @@ def test_inprocess_backtest_names_exist():
     assert {"observer", "tier"} <= set(inspect.signature(harness.backtest).parameters)
     assert {"agent", "observer"} <= {f.name for f in dataclasses.fields(harness.TrainResult)}
     assert callable(harness.BacktestResult.to_json_dict)
+    assert callable(harness.RunConfig.from_json_file)
+    assert callable(harness.RunConfig.load_series)

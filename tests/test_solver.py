@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from helpers import random_psd, random_simplex
+from portagents.config import RunConfig
 from portagents.errors import BudgetTooSmall, DimensionMismatch, NonFiniteInput
-from portagents.market_data import rolling_covariance, synth_from_spec
+from portagents.market_data import rolling_covariance
 from portagents.metrics import sigma_alpha_value
 from portagents.solver import (
     RiskControlProblem,
@@ -348,7 +349,7 @@ def test_de_close_to_slsqp_oracle_on_crash_market():
             {"length": 150, "drift": -0.002, "vol": 0.035, "corr": 0.6},
         ],
     }
-    series = synth_from_spec(spec)
+    series = RunConfig(data={"synth": spec}).load_series()
     rng = np.random.default_rng(5)
     ratios = []
     for k, day in enumerate(np.linspace(30, 745, 50).astype(int)):
