@@ -6,7 +6,8 @@ Six reference strategies live alongside the learned stack: uniform
 rebalancing (crp), exponentiated-gradient momentum (eg), two mean
 reversion rules on price windows (olmar, rmr), passive-aggressive mean
 reversion (pamr) and nearest-neighbour pattern matching (corn). Each is
-a pure update rule plus a stateful day-by-day driver.
+a pure update rule plus a stateless day-by-day step that maps yesterday's
+weights and the relatives seen so far to tomorrow's weights.
 """
 
 import numpy as np
@@ -44,12 +45,11 @@ rel = series.relatives()
 print(f"\n{'strategy':8s} final wealth  max drawdown")
 for name in sorted(baselines.REGISTRY):
     strategy = baselines.make_strategy(name)
-    strategy.reset(series.n_assets)
     capital, curve = 1.0, [1.0]
-    weights = strategy.weights
+    weights = np.full(series.n_assets, 1.0 / series.n_assets)
     for day in range(rel.shape[0]):
         capital *= float(weights @ rel[day])
         curve.append(capital)
-        # weights for tomorrow come from today's closing relatives
-        weights = strategy.step(rel[day])
+        # weights for tomorrow come from the relatives through today's close
+        weights = strategy.step(weights, rel[: day + 1])
     print(f"{name:8s} {capital:12.4f} {max_drawdown(curve):13.4f}")

@@ -1,8 +1,9 @@
 """Classic online portfolio-selection baselines.
 
-Each update op implements one published rule; the Strategy wrappers drive
-them day by day for the backtest harness, falling back to uniform weights
-until their history windows fill.
+Each update op implements one published rule. Each Strategy is that rule as
+the backtest harness calls it: a stateless map from the weights it chose the
+day before and the pass's price relatives so far to the next day's weights,
+holding its weights (or uniform ones) until its history window fills.
 
 References: Cover's universal portfolios line of work for CRP, Helmbold et
 al. for EG, Li & Hoi for OLMAR/PAMR/RMR, Borodin et al. correlation-driven
@@ -171,28 +172,36 @@ def corn_weights(relatives_history, window: int = 5, rho: float = 0.1) -> np.nda
     return log_wealth_weights(x[rows[matched] + window])
 
 
-# -- strategy drivers ---------------------------------------------------------
+# -- strategy rules -----------------------------------------------------------
 
 
 class Strategy:
-    """Stateful day-by-day driver: feed today's relatives, get tomorrow's
-    weights."""
+    """A rule ``step(weights, history) -> weights`` for the next day.
+
+    ``weights`` is what the rule returned the day before (uniform on a pass's
+    first day) and ``history`` the pass's (k, N) price relatives from its
+    first day through today, oldest first. A rule keeps no state between
+    calls, so the same arguments always give the same weights.
+    """
 
     name = "base"
 
-    def reset(self, n_assets: int):
-        self.n = n_assets
-        self.weights = uniform_weights(n_assets)
-
-    def step(self, relatives: np.ndarray) -> np.ndarray:
+    def step(self, weights: np.ndarray, history: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def _price_window(history: np.ndarray, window: int) -> np.ndarray:
+    """The last ``window`` rows of the pass's price path: ones on the day
+    before its first, then the running products of ``history``."""
+    path = np.concatenate([np.ones((1, history.shape[1])), np.cumprod(history, axis=0)])
+    return path[-window:]
 
 
 class Crp(Strategy):
     name = "crp"
 
-    def step(self, relatives):
-        return crp_weights(self.n)
+    def step(self, weights, history):
+        return crp_weights(history.shape[1])
 
 
 class Eg(Strategy):
@@ -201,9 +210,8 @@ class Eg(Strategy):
     def __init__(self, eta: float = 0.05):
         self.eta = eta
 
-    def step(self, relatives):
-        self.weights = eg_update(self.weights, relatives, eta=self.eta)
-        return self.weights
+    def step(self, weights, history):
+        return eg_update(weights, history[-1], eta=self.eta)
 
 
 class Olmar(Strategy):
@@ -213,17 +221,10 @@ class Olmar(Strategy):
         self.window = window
         self.epsilon = epsilon
 
-    def reset(self, n_assets):
-        super().reset(n_assets)
-        self.prices = [np.ones(n_assets)]
-
-    def step(self, relatives):
-        self.prices.append(self.prices[-1] * relatives)
-        if len(self.prices) < self.window:
-            return self.weights
-        window = np.stack(self.prices[-self.window :])
-        self.weights = olmar_update(self.weights, window, epsilon=self.epsilon)
-        return self.weights
+    def step(self, weights, history):
+        if len(history) + 1 < self.window:
+            return weights
+        return olmar_update(weights, _price_window(history, self.window), epsilon=self.epsilon)
 
 
 class Pamr(Strategy):
@@ -232,9 +233,8 @@ class Pamr(Strategy):
     def __init__(self, epsilon: float = 0.5):
         self.epsilon = epsilon
 
-    def step(self, relatives):
-        self.weights = pamr_update(self.weights, relatives, epsilon=self.epsilon)
-        return self.weights
+    def step(self, weights, history):
+        return pamr_update(weights, history[-1], epsilon=self.epsilon)
 
 
 class Rmr(Strategy):
@@ -244,17 +244,10 @@ class Rmr(Strategy):
         self.window = window
         self.epsilon = epsilon
 
-    def reset(self, n_assets):
-        super().reset(n_assets)
-        self.prices = [np.ones(n_assets)]
-
-    def step(self, relatives):
-        self.prices.append(self.prices[-1] * relatives)
-        if len(self.prices) < self.window:
-            return self.weights
-        window = np.stack(self.prices[-self.window :])
-        self.weights = rmr_update(self.weights, window, epsilon=self.epsilon)
-        return self.weights
+    def step(self, weights, history):
+        if len(history) + 1 < self.window:
+            return weights
+        return rmr_update(weights, _price_window(history, self.window), epsilon=self.epsilon)
 
 
 class Corn(Strategy):
@@ -264,22 +257,10 @@ class Corn(Strategy):
         self.window = window
         self.rho = rho
 
-    def reset(self, n_assets):
-        super().reset(n_assets)
-        self._rows = np.empty((64, n_assets))  # capacity doubles as days arrive
-        self.days = 0
-
-    def step(self, relatives):
-        if self.days == len(self._rows):
-            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
-        self._rows[self.days] = relatives
-        self.days += 1
-        if self.days < 2 * self.window + 1:
-            return uniform_weights(self.n)
-        self.weights = corn_weights(
-            self._rows[: self.days], window=self.window, rho=self.rho
-        )
-        return self.weights
+    def step(self, weights, history):
+        if len(history) < 2 * self.window + 1:
+            return uniform_weights(history.shape[1])
+        return corn_weights(history, window=self.window, rho=self.rho)
 
 
 REGISTRY = {

@@ -85,20 +85,15 @@ def cmd_backtest(args) -> int:
         result = harness.backtest(baselines.make_strategy(name), series, cfg)
     else:
         if args.checkpoint:
-            agent, extra = load_agent(
-                args.checkpoint,
-                obs_dim=observation_dim(cfg.env.window, series.n_assets),
-                n_assets=series.n_assets,
-            )
-            observer = harness.observer_from_state(
-                extra.get("observer"), cfg.observer
-            )
+            obs_dim = observation_dim(cfg.env.window, series.n_assets)
+            agent, extra = load_agent(args.checkpoint, obs_dim=obs_dim, n_assets=series.n_assets)
+            observer = harness.observer_from_state(extra.get("observer"), cfg.observer)
+            if observer is None and cfg.tier == "triple":
+                raise ConfigError(f"checkpoint {args.checkpoint} holds no observer, which tier triple needs")
         else:
             trained = harness.train(cfg, series=series)
             agent, observer = trained.agent, trained.observer
-        result = harness.backtest(
-            agent, series, cfg, observer=observer, tier=cfg.tier
-        )
+        result = harness.backtest(agent, series, cfg, observer=observer, tier=cfg.tier)
     label = strategy or cfg.tier
 
     payload = result.to_json_dict()

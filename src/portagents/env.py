@@ -31,9 +31,6 @@ class Observation:
         w, n = self.window, self.n_assets
         return self.vector[: w * n].reshape(w, n)
 
-    def latest_relatives(self) -> np.ndarray:
-        return self.relatives_window()[-1]
-
     def holdings(self) -> np.ndarray:
         w, n = self.window, self.n_assets
         return self.vector[w * n : w * n + n]

@@ -14,12 +14,13 @@ import json
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import baselines
-from .config import RunConfig
+from .config import RunConfig, from_json
 from .env import TradingEnv, observation_dim
 from .errors import ConfigError, DataSplitTooSmall, IoFailure
 from .market_data import OhlcvSeries, rolling_covariance
@@ -32,6 +33,7 @@ from .metrics import (
 )
 from .observer import (
     N_MARKET_FEATURES,
+    OBSERVER_KINDS,
     DcObserver,
     MlpObserver,
     ObserverConfig,
@@ -116,8 +118,9 @@ def _env_for_segment(series, config: RunConfig, seg: tuple[int, int], need_risk:
 
 
 def _agent_policy(agent: Td3Agent, explore: bool):
-    """The pass's ``policy(obs) -> weights`` for an agent."""
-    return lambda obs: agent.select_action(obs.vector, explore=explore)
+    """The pass's ``policy(obs, weights, history) -> weights`` for an agent,
+    which reads only the observation."""
+    return lambda obs, weights, history: agent.select_action(obs.vector, explore=explore)
 
 
 def _run_pass(
@@ -134,8 +137,10 @@ def _run_pass(
     trace: CallTrace | None = None,
     episode: int = -1,
 ) -> PassResult:
-    """One full pass over a segment: ``policy(obs) -> weights`` proposes, and
-    the tier's solver and observer act on it.
+    """One full pass over a segment: ``policy(obs, weights, history) ->
+    weights`` proposes, and the tier's solver and observer act on it. The
+    policy gets the weights it proposed the day before (uniform on the first
+    day) and the pass's price relatives from its first day through today.
 
     With a ``buffer`` every step is stored; with a ``learner`` the agent also
     updates from the buffer after every step, and a triple tier's observer
@@ -148,8 +153,9 @@ def _run_pass(
     reward_cfg = config.reward
     n = env.n_assets
 
-    # the observer sees the latest relatives of every day from the first
-    # observable one (env.window) through today: row d-1 is day d's
+    # row d-1 is day d's relatives; the observer reads them from the first
+    # observable day (env.window) through today, the policy from the pass's
+    # first day (env.start_day) through today
     relatives = series.relatives()
 
     obs = env.reset()
@@ -193,7 +199,7 @@ def _run_pass(
         else:
             sig = None
 
-        a_rl = policy(o_t)
+        a_rl = policy(o_t, a_rl_prev, relatives[env.start_day - 1 : o_t.day])
         if trace:
             trace.record("rl", episode, step_i, a_rl=a_rl.copy())
 
@@ -410,12 +416,8 @@ def backtest(
     if trace:
         trace.record("backtest", -1, -1)
     if isinstance(policy, baselines.Strategy):
-        policy.reset(series.n_assets)
-
-        def step(obs):
-            return policy.step(obs.latest_relatives())
-
         tier, observer = "single", None
+        step = lambda obs, weights, history: policy.step(weights, history)  # noqa: E731
     else:
         step = _agent_policy(policy, explore=False)
         tier = tier or config.tier
@@ -481,15 +483,7 @@ class ComparisonReport:
     curves: dict  # strategy -> {equity, risk, adjustment} (per-day means)
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "p_values": self.p_values,
-            "reference": self.reference,
-            "seeds": self.seeds,
-            "config_hash": self.config_hash,
-            "split_hash": self.split_hash,
-            "curves": self.curves,
-        }
+        return asdict(self)
 
 
 def _mean_rows(name: str, reports: list[PerformanceReport]) -> dict:
@@ -597,12 +591,7 @@ def ablate(config: RunConfig, series: OhlcvSeries | None = None, trace: CallTrac
 
 
 def _dump_json(payload: dict, path):
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write report {path}: {exc}") from exc
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def emit_report(report: ComparisonReport, formats, out_dir, prefix: str = "comparison") -> list[str]:
@@ -612,8 +601,6 @@ def emit_report(report: ComparisonReport, formats, out_dir, prefix: str = "compa
     plotdata CSV is long-format (series, day, value) covering the equity,
     risk, and adjustment trajectories of every strategy.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if isinstance(formats, str):
@@ -669,32 +656,53 @@ def observer_state(observer) -> dict | None:
     raise ConfigError(f"cannot serialise observer {type(observer).__name__}")
 
 
+@dataclass
+class DcState:
+    """Wire format of a DC observer's :func:`observer_state`."""
+
+    kind: str
+    base_risk: float
+
+
+@dataclass
+class MlpState:
+    """Wire format of an MLP observer's :func:`observer_state`: each
+    parameter array as nested lists."""
+
+    kind: str
+    params: list[list[list[float] | float]]
+
+
 def observer_from_state(state: dict | None, config: ObserverConfig, seed: int = 0):
+    """Rebuild the observer that :func:`observer_state` saved. A damaged
+    state raises IoFailure, and parameters that do not fit the config's
+    dimensions ConfigError."""
     if state is None:
         return None
-    kind = state.get("kind")
-    if kind != config.kind:
-        config = replace(config, kind=kind)  # ConfigError for an unknown kind
+    kind = state.get("kind") if isinstance(state, dict) else None
+    if kind not in OBSERVER_KINDS:
+        raise IoFailure(f"checkpoint observer state {state!r:.80} names no kind in {OBSERVER_KINDS}")
+    try:
+        saved = from_json(DcState if kind == "dc" else MlpState, state, "checkpoint extra.observer")
+        # the saved DC base_risk goes through the config's range check
+        config = replace(config, kind=kind, base_risk=getattr(saved, "base_risk", config.base_risk))
+        arrays = [np.asarray(p, dtype=np.float64) for p in getattr(saved, "params", [])]
+    except (ConfigError, ValueError) as exc:  # ValueError: a ragged array
+        raise IoFailure(f"damaged checkpoint observer state: {exc}") from exc
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise IoFailure("checkpoint observer parameters are not all finite")
     observer = make_observer(config, seed=seed)
-    if kind == "dc":
-        observer.base_risk = float(state["base_risk"])
-    else:
-        saved = state["params"]
+    if kind == "mlp":
         live = observer.net.params()
-        if len(saved) != len(live):
+        if [a.shape for a in arrays] != [p.shape for p in live]:
             raise ConfigError("observer state does not match config dimensions")
-        for p, s in zip(live, saved):
-            arr = np.asarray(s, dtype=np.float64)
-            if arr.shape != p.shape:
-                raise ConfigError("observer state does not match config dimensions")
-            p[:] = arr
+        for p, a in zip(live, arrays):
+            p[:] = a
     return observer
 
 
 def save_train_artifacts(result: TrainResult, out_dir, config: RunConfig) -> dict:
     """Write the best-agent checkpoint and the training report."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.bin"

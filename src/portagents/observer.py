@@ -170,6 +170,8 @@ class ObserverConfig:
             raise ConfigError("observer.lookback and observer.feature_window must be >= 1")
         if not self.theta > 0.0:
             raise ConfigError(f"observer.theta {self.theta} must be positive")
+        if not 0.0 <= self.base_risk < np.inf:
+            raise ConfigError(f"observer.base_risk {self.base_risk} must be non-negative and finite")
         if not 0.0 <= self.base_risk_quantile <= 1.0:
             raise ConfigError(
                 f"observer.base_risk_quantile {self.base_risk_quantile} outside [0, 1]"

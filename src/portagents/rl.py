@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -314,12 +314,32 @@ def save_agent(agent: Td3Agent, path, extra: dict | None = None):
         raise IoFailure(f"cannot write agent checkpoint {path}: {exc}") from exc
 
 
+@dataclass
+class AgentHeader:
+    """Wire format of the header line that :func:`save_agent` writes."""
+
+    format: str
+    version: int
+    obs_dim: int
+    n_assets: int
+    update_count: int
+    config: Td3Config
+    nets: dict
+    seed: int = 0
+    extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if min(self.obs_dim, self.n_assets) < 1 or min(self.update_count, self.seed) < 0:
+            raise ValueError("obs_dim and n_assets must be >= 1, update_count and seed >= 0")
+
+
 def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None) -> tuple[Td3Agent, dict]:
     """Rebuild an agent from :func:`save_agent`; returns (agent, extra).
 
-    A checkpoint that cannot be parsed, or whose body is shorter or longer
-    than its header says, raises ``IoFailure``; one built for another
-    ``obs_dim`` or ``n_assets`` than the ones given raises ``ConfigError``.
+    A checkpoint that cannot be parsed, whose header has a value of the
+    wrong type or range, or whose body is shorter or longer than its header
+    says, raises ``IoFailure``; one built for another ``obs_dim`` or
+    ``n_assets`` than the ones given raises ``ConfigError``.
     """
     try:
         with open(path, "rb") as fh:
@@ -336,26 +356,25 @@ def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None) ->
         header = json.loads(header_line)
         if not isinstance(header, dict) or (header.get("version"), header.get("format")) != (1, "td3-agent"):
             raise IoFailure(f"unsupported agent checkpoint header in {path}")
-        agent = Td3Agent(
-            obs_dim=int(header["obs_dim"]),
-            n_assets=int(header["n_assets"]),
-            config=from_json(Td3Config, header["config"], "checkpoint agent"),
-            seed=header.get("seed", 0),
-        )
+        head = from_json(AgentHeader, header, "checkpoint")
+    except (ValueError, ConfigError) as exc:
+        raise IoFailure(f"corrupt agent checkpoint {path}: {exc}") from exc
+    for field_name, want in (("obs_dim", obs_dim), ("n_assets", n_assets)):
+        got = getattr(head, field_name)
+        if want is not None and got != want:
+            raise ConfigError(f"checkpoint {path} has {field_name} {got}, the run config needs {want}")
+    try:
+        agent = Td3Agent(head.obs_dim, head.n_assets, head.config, seed=head.seed)
         offset = 0
         for name in _NET_ORDER:
-            net, offset = nn.net_from_header(header["nets"][name], raw, offset)
+            net, offset = nn.net_from_header(head.nets[name], raw, offset)
             setattr(agent, name, net)
-        agent.update_count = int(header["update_count"])
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"corrupt agent checkpoint {path}: {exc}") from exc
     if offset != len(raw):
         raise IoFailure(f"agent checkpoint {path} body holds {len(raw)} bytes, its header {offset}")
-    for field_name, want in (("obs_dim", obs_dim), ("n_assets", n_assets)):
-        got = getattr(agent, field_name)
-        if want is not None and got != want:
-            raise ConfigError(f"checkpoint {path} has {field_name} {got}, the run config needs {want}")
+    agent.update_count = head.update_count
     agent.actor_opt = nn.AdamState.for_params(agent.actor.flat, lr=agent.config.lr)
     agent.critic1_opt = nn.AdamState.for_params(agent.critic1.flat, lr=agent.config.lr)
     agent.critic2_opt = nn.AdamState.for_params(agent.critic2.flat, lr=agent.config.lr)
-    return agent, header.get("extra", {})
+    return agent, head.extra

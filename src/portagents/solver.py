@@ -91,7 +91,6 @@ class DeResult:
     value: float
     evaluations: int
     trace: np.ndarray  # best-so-far objective after init and each generation
-    generations: int
 
 
 def differential_evolution(
@@ -135,7 +134,6 @@ def differential_evolution(
     best_i = int(np.argmin(values))
     best_x, best_v = pop[best_i].copy(), float(values[best_i])
     trace = [best_v]
-    generations = 0
     rows = np.arange(population)
 
     while evals + population <= budget:
@@ -158,15 +156,8 @@ def differential_evolution(
             best_v = float(values[gen_best])
             best_x = pop[gen_best].copy()
         trace.append(best_v)
-        generations += 1
 
-    return DeResult(
-        x=best_x,
-        value=best_v,
-        evaluations=evals,
-        trace=np.asarray(trace),
-        generations=generations,
-    )
+    return DeResult(x=best_x, value=best_v, evaluations=evals, trace=np.asarray(trace))
 
 
 @dataclass

@@ -618,9 +618,11 @@ def test_10_baseline_math():
 
     for name in ("crp", "eg", "pamr"):
         strategy = make_strategy(name)
-        strategy.reset(4)
-        for _ in range(steps_per_rule):
-            check_weights(strategy.step(rng.uniform(0.7, 1.3, size=4)))
+        history = rng.uniform(0.7, 1.3, size=(steps_per_rule, 4))
+        w = np.full(4, 0.25)
+        for day in range(1, steps_per_rule + 1):
+            w = strategy.step(w, history[:day])
+            check_weights(w)
             checked += 1
 
     w = np.full(4, 0.25)

@@ -325,11 +325,11 @@ def test_corn_driver_bit_identical_at_wide_shape():
     z = rng.standard_normal((300, 20)) @ np.linalg.cholesky(corr).T
     relatives = np.exp(rng.uniform(0.007, 0.014, 20) * z)
     s = make_strategy("corn")
-    s.reset(20)
-    for day, x in enumerate(relatives, start=1):
-        got = no_runtime_warnings(s.step, x)
+    weights = uniform_weights(20)
+    for day in range(1, len(relatives) + 1):
+        weights = no_runtime_warnings(s.step, weights, relatives[:day])
         if day >= 11:
-            assert got.tobytes() == corn_weights_reference(relatives[:day]).tobytes(), day
+            assert weights.tobytes() == corn_weights_reference(relatives[:day]).tobytes(), day
 
 
 def test_log_wealth_rejects_non_finite():
@@ -337,14 +337,27 @@ def test_log_wealth_rejects_non_finite():
         log_wealth_weights([[1.0, np.nan]])
 
 
-# -- strategy drivers -----------------------------------------------------------------
+# -- strategy rules -----------------------------------------------------------------
+
+
+def run_rule(rule, relatives):
+    """One pass of a rule over the rows of ``relatives``: its (weights,
+    history, output) per day, each output fed back as the next day's weights."""
+    history = np.array(relatives, dtype=np.float64)
+    history.setflags(write=False)
+    weights = uniform_weights(history.shape[1])
+    calls = []
+    for day in range(1, len(history) + 1):
+        out = rule.step(weights, history[:day])
+        calls.append((weights.copy(), history[:day], out.copy()))
+        weights = out
+    return calls
 
 
 def test_drivers_warmup_uniform():
     for name in ("olmar", "rmr", "corn"):
         s = make_strategy(name, window=4)
-        s.reset(3)
-        out = s.step(np.array([1.2, 0.9, 1.0]))
+        out = s.step(uniform_weights(3), np.array([[1.2, 0.9, 1.0]]))
         np.testing.assert_allclose(out, np.full(3, 1.0 / 3.0))
 
 
@@ -352,10 +365,19 @@ def test_drivers_emit_valid_weights_on_random_streams():
     rng = np.random.default_rng(4)
     relatives = rng.uniform(0.85, 1.15, size=(60, 4))
     for name in sorted(REGISTRY):
-        s = make_strategy(name)
-        s.reset(4)
-        for x in relatives:
-            check_weights(s.step(x))
+        for _, _, out in run_rule(make_strategy(name), relatives):
+            check_weights(out)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_rules_are_stateless(name):
+    # a rule's output depends on its arguments alone: replaying a pass's calls
+    # backwards on one fresh instance gives the same bytes, day by day
+    relatives = np.random.default_rng(12).uniform(0.85, 1.15, size=(40, 4))
+    calls = run_rule(make_strategy(name), relatives)
+    fresh = make_strategy(name)
+    for weights, history, out in reversed(calls):
+        assert fresh.step(weights, history).tobytes() == out.tobytes(), len(history)
 
 
 def test_make_strategy_params_and_unknown():

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import portagents
 from portagents.cli import main
@@ -213,6 +215,8 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
         ("observer", "theta", 0.0),
         ("observer", "base_risk_quantile", 2.0),
         ("observer", "risk_window", 0),
+        ("observer", "base_risk", -1.0),
+        ("observer", "base_risk", float("nan")),
     ):
         bad.write_text(json.dumps({**CONFIG, block: {**CONFIG[block], name: value}}))
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, (name, value)
@@ -299,12 +303,48 @@ def run_backtest(tmp_path, config, checkpoint: bytes) -> int:
     return main(["backtest", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out", str(tmp_path / "bt")])
 
 
+DELETE = object()
+
+
+def set_header(path: str, value):
+    """A damage that sets the checkpoint header's value at the dotted
+    ``path``, or deletes it for ``DELETE``."""
+
+    def damage(blob):
+        magic, _, rest = blob.partition(b"\n")
+        line, _, body = rest.partition(b"\n")
+        header = json.loads(line)
+        *parents, key = path.split(".")
+        block = header
+        for name in parents:
+            block = block[name]
+        if value is DELETE:
+            del block[key]
+        else:
+            block[key] = value
+        return b"\n".join([magic, json.dumps(header, sort_keys=True).encode(), body])
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         pytest.param(lambda blob: blob.replace(b'"format"', b'"format', 1), id="corrupt-header"),
         pytest.param(lambda blob: blob[:-100], id="body-short-by-100-bytes"),
         pytest.param(lambda blob: blob + b"junk", id="4-trailing-bytes"),
+        pytest.param(set_header("extra", 5), id="extra-not-object"),
+        pytest.param(set_header("extra.observer", 5), id="observer-not-object"),
+        pytest.param(set_header("extra.observer.kind", "zz"), id="observer-kind-unknown"),
+        pytest.param(set_header("extra.observer.base_risk", DELETE), id="base-risk-missing"),
+        pytest.param(set_header("extra.observer.base_risk", "x"), id="base-risk-string"),
+        pytest.param(set_header("extra.observer.base_risk", -1), id="base-risk-negative"),
+        pytest.param(set_header("extra.observer.base_risk", float("nan")), id="base-risk-nan"),
+        pytest.param(set_header("extra.observer", {"kind": "mlp", "params": 5}), id="mlp-params-not-list"),
+        pytest.param(set_header("obs_dim", 0), id="obs-dim-0"),
+        pytest.param(set_header("obs_dim", -1), id="obs-dim-negative"),
+        pytest.param(set_header("seed", None), id="seed-null"),
+        pytest.param(set_header("update_count", 1.5), id="update-count-fraction"),
     ],
 )
 def test_exit_code_3_on_damaged_checkpoint(damage, checkpoint_bytes, tmp_path, capsys):
@@ -322,6 +362,35 @@ def test_exit_code_2_on_checkpoint_of_other_window(checkpoint_bytes, tmp_path, c
     err = capsys.readouterr().err
     assert "obs_dim" in err
     assert "Traceback" not in err
+
+
+def test_exit_code_2_on_triple_checkpoint_without_observer(checkpoint_bytes, tmp_path, capsys):
+    assert run_backtest(tmp_path, CONFIG, set_header("extra.observer", None)(checkpoint_bytes)) == 2
+    err = capsys.readouterr().err
+    assert "holds no observer" in err
+    assert "Traceback" not in err
+
+
+HEADER_PATHS = (
+    "extra",
+    "extra.config",
+    "extra.best_episode",
+    "extra.observer",
+    "extra.observer.kind",
+    "extra.observer.base_risk",
+    "obs_dim",
+    "n_assets",
+    "seed",
+    "update_count",
+)
+HEADER_VALUES = ("x", None, -1, 0, 1.5, [], {}, True, float("nan"))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(HEADER_PATHS), value=st.sampled_from(HEADER_VALUES))
+def test_fuzzed_checkpoint_header_exits_cleanly(path, value, checkpoint_bytes, tmp_path, capsys):
+    assert run_backtest(tmp_path, CONFIG, set_header(path, value)(checkpoint_bytes)) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

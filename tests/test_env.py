@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portagents.env import (
     TradingEnv,
@@ -36,7 +38,7 @@ def test_observation_window_content():
     series = series_from_close(close)
     obs = build_observation(series, day=3, window=2)
     np.testing.assert_allclose(obs.relatives_window().ravel(), [1.1, 1.1])
-    assert obs.latest_relatives()[0] == pytest.approx(1.1)
+    assert obs.relatives_window()[-1, 0] == pytest.approx(1.1)
 
 
 def test_build_observation_bounds():
@@ -181,3 +183,32 @@ def test_segment_bounds_respected():
         steps += 1
     assert steps == 5
     assert env.state.day == 15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_assets=st.integers(1, 4),
+    n_days=st.integers(5, 20),
+    c_tx=st.floats(0.0, 0.5),
+    c0=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_capital_identity(n_assets, n_days, c_tx, c0, seed):
+    # growth_t = (1 - c_tx * 1/2 |a_t - h_t|_1) * (a_t . x_t), with h_t the
+    # holdings drifted from the last step, and capital = c0 * prod growth
+    rng = np.random.default_rng(seed)
+    close = 100.0 * np.cumprod(rng.uniform(0.8, 1.25, size=(n_days, n_assets)), axis=0)
+    env = TradingEnv(series_from_close(close), window=2, c_tx=c_tx, c0=c0)
+    env.reset()
+    holdings = np.full(n_assets, 1.0 / n_assets)
+    capital = c0
+    done = False
+    while not done:
+        x = close[env.state.day + 1] / close[env.state.day]
+        a = rng.dirichlet(np.ones(n_assets))
+        _, growth, done = env.step(a)
+        want = (1.0 - c_tx * 0.5 * np.abs(a - holdings).sum()) * float(a @ x)
+        assert growth == pytest.approx(want, rel=1e-12)
+        capital *= growth
+        holdings = a * x / float(a @ x)
+    assert env.state.capital == pytest.approx(capital, rel=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from portagents import baselines
+from portagents.baselines import corn_weights, crp_weights, eg_update, olmar_update, pamr_update, rmr_update
 from portagents.errors import ConfigError, DataSplitTooSmall
 from portagents.harness import (
     ABLATION_ROWS,
@@ -26,7 +27,7 @@ from portagents.harness import (
     train,
 )
 from portagents.market_data import OhlcvSeries
-from portagents.metrics import sigma_alpha_value
+from portagents.metrics import sigma_alpha_value, uniform_weights
 from portagents.observer import DcObserver, MlpObserver, ObserverConfig
 from portagents.rl import RewardConfig, episode_reward, load_agent, per_step_reward
 from test_acceptance import PIPELINE_CONFIG
@@ -261,9 +262,126 @@ def test_backtest_baseline_on_test_split():
         assert key in payload
 
 
+# The stateful day-by-day drivers as they stood before the baselines became
+# stateless rules over the pass's relatives, kept verbatim as the oracle's
+# strategies, but for the registry's name.
+
+
+class Strategy:
+    """Stateful day-by-day driver: feed today's relatives, get tomorrow's
+    weights."""
+
+    name = "base"
+
+    def reset(self, n_assets: int):
+        self.n = n_assets
+        self.weights = uniform_weights(n_assets)
+
+    def step(self, relatives: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+class Crp(Strategy):
+    name = "crp"
+
+    def step(self, relatives):
+        return crp_weights(self.n)
+
+
+class Eg(Strategy):
+    name = "eg"
+
+    def __init__(self, eta: float = 0.05):
+        self.eta = eta
+
+    def step(self, relatives):
+        self.weights = eg_update(self.weights, relatives, eta=self.eta)
+        return self.weights
+
+
+class Olmar(Strategy):
+    name = "olmar"
+
+    def __init__(self, window: int = 5, epsilon: float = 10.0):
+        self.window = window
+        self.epsilon = epsilon
+
+    def reset(self, n_assets):
+        super().reset(n_assets)
+        self.prices = [np.ones(n_assets)]
+
+    def step(self, relatives):
+        self.prices.append(self.prices[-1] * relatives)
+        if len(self.prices) < self.window:
+            return self.weights
+        window = np.stack(self.prices[-self.window :])
+        self.weights = olmar_update(self.weights, window, epsilon=self.epsilon)
+        return self.weights
+
+
+class Pamr(Strategy):
+    name = "pamr"
+
+    def __init__(self, epsilon: float = 0.5):
+        self.epsilon = epsilon
+
+    def step(self, relatives):
+        self.weights = pamr_update(self.weights, relatives, epsilon=self.epsilon)
+        return self.weights
+
+
+class Rmr(Strategy):
+    name = "rmr"
+
+    def __init__(self, window: int = 5, epsilon: float = 5.0):
+        self.window = window
+        self.epsilon = epsilon
+
+    def reset(self, n_assets):
+        super().reset(n_assets)
+        self.prices = [np.ones(n_assets)]
+
+    def step(self, relatives):
+        self.prices.append(self.prices[-1] * relatives)
+        if len(self.prices) < self.window:
+            return self.weights
+        window = np.stack(self.prices[-self.window :])
+        self.weights = rmr_update(self.weights, window, epsilon=self.epsilon)
+        return self.weights
+
+
+class Corn(Strategy):
+    name = "corn"
+
+    def __init__(self, window: int = 5, rho: float = 0.1):
+        self.window = window
+        self.rho = rho
+
+    def reset(self, n_assets):
+        super().reset(n_assets)
+        self._rows = np.empty((64, n_assets))  # capacity doubles as days arrive
+        self.days = 0
+
+    def step(self, relatives):
+        if self.days == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+        self._rows[self.days] = relatives
+        self.days += 1
+        if self.days < 2 * self.window + 1:
+            return uniform_weights(self.n)
+        self.weights = corn_weights(
+            self._rows[: self.days], window=self.window, rho=self.rho
+        )
+        return self.weights
+
+
+OLD_DRIVERS = {cls.name: cls for cls in (Crp, Eg, Olmar, Pamr, Rmr, Corn)}
+
+
 # The baseline pass loop as it stood before baselines ran through the agents'
 # pass loop, kept verbatim (with the result type it returned) as the oracle;
-# only its risk call lost the mode argument, as "norm" is the one risk left.
+# only its risk call lost the mode argument, as "norm" is the one risk left,
+# and it reads today's relatives off the observation's window.
 
 
 @dataclass
@@ -286,7 +404,7 @@ def _episode_j(growths, jsds, c0, reward: RewardConfig) -> float:
 
 
 def _run_strategy_pass(
-    strategy: baselines.Strategy,
+    strategy: Strategy,
     series: OhlcvSeries,
     returns: ReturnsMatrix,
     config: RunConfig,
@@ -302,7 +420,7 @@ def _run_strategy_pass(
     growths, risks = [], []
     done = False
     while not done:
-        weights = strategy.step(obs.latest_relatives())
+        weights = strategy.step(obs.relatives_window()[-1])
         cov = rolling_covariance(returns, t=obs.day, k=k).matrix
         obs, growth, done = env.step(weights)
         equity.append(env.state.capital)
@@ -329,9 +447,7 @@ def test_baseline_backtest_byte_equal_to_strategy_pass(name):
     cfg = RunConfig.from_dict(PIPELINE_CONFIG)
     series = cfg.load_series()
     test_seg = split_indices(series.n_days, cfg.splits)[2]
-    want = _run_strategy_pass(
-        baselines.make_strategy(name), series, returns_matrix(series), cfg, test_seg
-    )
+    want = _run_strategy_pass(OLD_DRIVERS[name](), series, returns_matrix(series), cfg, test_seg)
     got = backtest(baselines.make_strategy(name), series, cfg)
     assert np.array_equal(got.report.equity_curve, want.equity)
     assert np.array_equal(got.risks, want.risks)

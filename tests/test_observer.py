@@ -332,7 +332,7 @@ def _index_growths(history) -> np.ndarray:
     """Per-day equal-weight index growth factors from an observation window."""
     growths = np.empty(len(history))
     for i, obs in enumerate(history):
-        growths[i] = float(np.mean(obs.latest_relatives()))
+        growths[i] = float(np.mean(obs.relatives_window()[-1]))
     return growths
 
 

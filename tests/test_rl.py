@@ -134,6 +134,25 @@ def test_episode_reward_matches_per_step_aggregation():
         assert got == pytest.approx(want, abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lambdas=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+    c0=st.floats(0.01, 100.0),
+    t=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_episode_reward_identity(lambdas, c0, t, seed):
+    # T * J - lambda1 * log c0 is the sum of the per-step rewards of the same steps
+    config = RewardConfig(*lambdas)
+    rng = np.random.default_rng(seed)
+    growths = rng.uniform(0.5, 1.5, size=t)
+    actions = [(random_simplex(rng, 3), random_simplex(rng, 3)) for _ in range(t)]
+    jsds = [jensen_shannon(a, b) for a, b in actions]
+    steps = sum(per_step_reward(g, a, b, config) for g, (a, b) in zip(growths, actions))
+    got = t * episode_reward(growths, jsds, c0, config).j - config.lambda1 * np.log(c0)
+    assert got == pytest.approx(steps, rel=1e-9, abs=1e-9)
+
+
 def test_episode_reward_validates_inputs():
     with pytest.raises(DimensionMismatch):
         episode_reward([1.0], [0.0, 0.0], 1.0, RewardConfig())
