@@ -417,7 +417,7 @@ def backtest(
         trace.record("backtest", -1, -1)
     if isinstance(policy, baselines.Strategy):
         tier, observer = "single", None
-        step = lambda obs, weights, history: policy.step(weights, history)  # noqa: E731
+        step = lambda obs, weights, history: policy.step(weights, history)
     else:
         step = _agent_policy(policy, explore=False)
         tier = tier or config.tier
