@@ -63,7 +63,7 @@ for epoch in range(200):
 pred = nn.forward(model, x_train)[0]
 print(f"final mse {float(np.mean((pred - y_train) ** 2)):.5f}")
 
-# softmax heads produce rows on the simplex, which the actors rely on
-head = nn.DenseNet.create([4, 8, 3], ["relu", "softmax"], rng)
-probs = nn.forward(head, x)[0]
+# softmax over a linear head's logits gives rows on the simplex, as the actors do
+head = nn.DenseNet.create([4, 8, 3], ["relu", "linear"], rng)
+probs = nn.softmax(nn.forward(head, x)[0])
 print(f"softmax head row sums: {np.round(probs.sum(axis=1), 12)}")

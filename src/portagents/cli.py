@@ -86,10 +86,13 @@ def cmd_backtest(args) -> int:
     else:
         if args.checkpoint:
             obs_dim = observation_dim(cfg.env.window, series.n_assets)
-            agent, extra = load_agent(args.checkpoint, obs_dim=obs_dim, n_assets=series.n_assets)
+            agent, extra = load_agent(args.checkpoint, obs_dim, series.n_assets, cfg.agent.hidden)
             observer = harness.observer_from_state(extra.get("observer"), cfg.observer)
             if observer is None and cfg.tier == "triple":
                 raise ConfigError(f"checkpoint {args.checkpoint} holds no observer, which tier triple needs")
+            if cfg.tier == "triple" and observer.config.kind != cfg.observer.kind:
+                raise ConfigError(f"checkpoint {args.checkpoint} holds a {observer.config.kind} observer, "
+                                  f"the run config's observer.kind is {cfg.observer.kind}")
         else:
             trained = harness.train(cfg, series=series)
             agent, observer = trained.agent, trained.observer

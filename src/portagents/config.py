@@ -56,7 +56,8 @@ def from_json(kind, value, name: str = ""):
     A block (a dataclass) is built from an object after checking for unknown
     and missing fields, with each field checked in turn; its own
     ``__post_init__`` does the range checks. Lists become the annotated
-    container. Raises ConfigError naming the field by its dotted path
+    container. Every number must be finite (``json.load`` reads ``NaN`` and
+    ``Infinity``). Raises ConfigError naming the field by its dotted path
     ``name`` (empty for the whole run config).
     """
     label = name or "config"
@@ -68,6 +69,8 @@ def from_json(kind, value, name: str = ""):
         item = typing.get_args(kind)[0]
         return typing.get_origin(kind)(from_json(item, v, f"{name}[{i}]") for i, v in enumerate(value))
     if not dataclasses.is_dataclass(kind):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{label} must be a finite number, got {value!r}")
         return value
     fields = dataclasses.fields(kind)
     unknown = set(value) - {f.name for f in fields}
@@ -101,6 +104,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.sigma_mode not in ("hard", "target"):
             raise ConfigError(f"unknown sigma_mode {self.sigma_mode!r}")
+        if self.mu < 0:
+            raise ConfigError(f"solver.mu {self.mu} must be >= 0")
 
 
 @dataclass
@@ -145,8 +150,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.assets < 1:
             raise ConfigError(f"data.synth.assets {self.assets} must be >= 1")
-        if not 0.0 < self.s0 < math.inf:
-            raise ConfigError(f"data.synth.s0 {self.s0} must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError(f"data.synth.seed {self.seed} must be >= 0")
+        if self.s0 <= 0:
+            raise ConfigError(f"data.synth.s0 {self.s0} must be positive")
         try:
             dt.date.fromisoformat(self.start_date)
         except ValueError as exc:
@@ -200,6 +207,8 @@ class RunConfig:
             raise ConfigError("max_episode must be >= 1")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
         s = tuple(float(x) for x in self.splits)
         if len(s) != 3 or any(x < 0 for x in s) or abs(sum(s) - 1.0) > 1e-6:
             raise ConfigError(f"splits {s} must be 3 non-negative fractions summing to 1")

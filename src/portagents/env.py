@@ -27,10 +27,6 @@ class Observation:
     window: int
     n_assets: int
 
-    def relatives_window(self) -> np.ndarray:
-        w, n = self.window, self.n_assets
-        return self.vector[: w * n].reshape(w, n)
-
     def holdings(self) -> np.ndarray:
         w, n = self.window, self.n_assets
         return self.vector[w * n : w * n + n]

@@ -30,6 +30,10 @@ class UnparseableDate(DataError):
     pass
 
 
+class MalformedRow(DataError):
+    """A CSV row that does not fit the header or repeats an earlier key."""
+
+
 class EmptyIntersection(DataError):
     pass
 

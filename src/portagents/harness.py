@@ -130,10 +130,10 @@ def _run_pass(
     seg: tuple[int, int],
     *,
     tier: str,
+    solver_rng: np.random.Generator,
     observer=None,
     learner: Td3Agent | None = None,
     buffer: ReplayBuffer | None = None,
-    solver_rng=None,
     trace: CallTrace | None = None,
     episode: int = -1,
 ) -> PassResult:
@@ -217,7 +217,7 @@ def _run_pass(
             result = propose_control(
                 problem,
                 budget=config.solver.budget,
-                seed=solver_rng if solver_rng is not None else config.seed,
+                seed=solver_rng,
                 population=config.solver.population,
                 f=config.solver.f,
                 cr=config.solver.cr,
@@ -581,8 +581,6 @@ ABLATION_ROWS = (
 def ablate(config: RunConfig, series: OhlcvSeries | None = None, trace: CallTrace | None = None) -> ComparisonReport:
     """Tier/reward ablation matrix on shared data splits: the two lower
     tiers plus both observers with and without the divergence reward."""
-    if series is None:
-        series = config.load_series()
     cfg = config if config.reference else replace(config, reference="triple-dc")
     return compare(cfg, strategies=list(ABLATION_ROWS), series=series, trace=trace)
 
@@ -689,8 +687,6 @@ def observer_from_state(state: dict | None, config: ObserverConfig, seed: int = 
         arrays = [np.asarray(p, dtype=np.float64) for p in getattr(saved, "params", [])]
     except (ConfigError, ValueError) as exc:  # ValueError: a ragged array
         raise IoFailure(f"damaged checkpoint observer state: {exc}") from exc
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise IoFailure("checkpoint observer parameters are not all finite")
     observer = make_observer(config, seed=seed)
     if kind == "mlp":
         live = observer.net.params()

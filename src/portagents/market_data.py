@@ -21,6 +21,7 @@ from .errors import (
     InsufficientHistory,
     InvalidRegime,
     IoFailure,
+    MalformedRow,
     MissingColumn,
     NonPositivePrice,
     SeriesTooShort,
@@ -64,7 +65,13 @@ class OhlcvSeries:
         if list(self.dates) != sorted(self.dates):
             raise UnparseableDate("dates are not ascending")
         # every pass slices this one array, so none may write into it
-        self._relatives = self.close[1:] / self.close[:-1]
+        with np.errstate(over="ignore"):
+            self._relatives = self.close[1:] / self.close[:-1]
+        bad = ~(np.isfinite(self._relatives) & (self._relatives > 0.0))
+        if bad.any():
+            t, j = np.argwhere(bad)[0]
+            raise NonPositivePrice(f"close relative of {self.asset_ids[j]} on {self.dates[t + 1]} is "
+                                   f"{self._relatives[t, j]}, not positive and finite")
         self._relatives.setflags(write=False)
 
     @property
@@ -132,14 +139,16 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
     """Load and align a CSV of daily prices.
 
     Assets are aligned on the intersection of their date sets; no values are
-    imputed. Raises MissingColumn, UnparseableDate, NonPositivePrice or
-    EmptyIntersection on bad input.
+    imputed. A long-layout row must have as many fields as the header, and a
+    wide-layout row no more; no (date, asset), or in the wide layout no date,
+    may repeat. Raises MissingColumn, MalformedRow, UnparseableDate,
+    NonPositivePrice or EmptyIntersection on bad input.
     """
     cfg = config or LoadConfig()
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh, delimiter=cfg.delimiter))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise EmptyIntersection(f"{path} is empty")
@@ -149,7 +158,7 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
     if cfg.date_column not in col:
         raise MissingColumn(f"missing column {cfg.date_column!r}")
 
-    # per-asset maps date -> (o, h, l, c)
+    # per-asset maps date -> (o, h, l, c, line number)
     cells: dict[str, dict[str, tuple]] = {}
 
     if cfg.layout == "long":
@@ -160,26 +169,34 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
         for line_no, row in enumerate(rows[1:], start=2):
             if not any(f.strip() for f in row):
                 continue
+            if len(row) != len(header):
+                raise MalformedRow(f"line {line_no} has {len(row)} fields, the header {len(header)}")
             date = _parse_iso_date(row[col[cfg.date_column]], line_no)
             asset = row[col[cfg.asset_column]].strip()
-            prices = tuple(
-                _parse_price(row[col[name]], line_no, name) for name in price_cols
-            )
-            cells.setdefault(asset, {})[date] = prices
+            per_asset = cells.setdefault(asset, {})
+            if date in per_asset:
+                raise MalformedRow(f"line {line_no} repeats date {date}, asset {asset!r} of line {per_asset[date][4]}")
+            per_asset[date] = (*(_parse_price(row[col[name]], line_no, name) for name in price_cols), line_no)
     else:  # wide
         asset_cols = [(name, i) for name, i in col.items() if name != cfg.date_column]
         if not asset_cols:
             raise MissingColumn("wide layout needs at least one asset column")
+        lines: dict[str, int] = {}  # date -> the line it came from
         for line_no, row in enumerate(rows[1:], start=2):
             if not any(f.strip() for f in row):
                 continue
+            if len(row) > len(header):
+                raise MalformedRow(f"line {line_no} has {len(row)} fields, the header {len(header)}")
             date = _parse_iso_date(row[col[cfg.date_column]], line_no)
+            if date in lines:
+                raise MalformedRow(f"line {line_no} repeats date {date} of line {lines[date]}")
+            lines[date] = line_no
             for name, i in asset_cols:
                 text = row[i].strip() if i < len(row) else ""
                 if not text or text.lower() in ("na", "nan", "null"):
                     continue  # missing cell: the date drops out of the intersection
                 c = _parse_price(text, line_no, name)
-                cells.setdefault(name, {})[date] = (c, c, c, c)
+                cells.setdefault(name, {})[date] = (c, c, c, c, line_no)
 
     if not cells:
         raise EmptyIntersection(f"{path} has no data rows")
@@ -193,16 +210,9 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
     dates = sorted(shared)
     assets = sorted(cells)
 
-    arrays = {name: np.empty((len(dates), len(assets))) for name in PRICE_FIELDS}
-    for j, asset in enumerate(assets):
-        per_asset = cells[asset]
-        for i, date in enumerate(dates):
-            o, h, l, c = per_asset[date]
-            arrays["open"][i, j] = o
-            arrays["high"][i, j] = h
-            arrays["low"][i, j] = l
-            arrays["close"][i, j] = c
-    return OhlcvSeries(asset_ids=assets, dates=dates, **arrays)
+    # one (T, N) panel per price field, in PRICE_FIELDS order, then the line numbers
+    panels = np.array([[cells[asset][date] for asset in assets] for date in dates]).transpose(2, 0, 1)[:4].copy()
+    return OhlcvSeries(asset_ids=assets, dates=dates, **dict(zip(PRICE_FIELDS, panels)))
 
 
 def write_ohlcv_csv(series: OhlcvSeries, path):

@@ -1,5 +1,5 @@
 """Minimal dense-network engine: forward pass with tape, reverse-mode
-gradients, Adam, and a bit-exact binary checkpoint format.
+gradients, Adam, and the header and bytes that a checkpoint holds per net.
 
 Everything is float64. Each net keeps all its parameters in one flat
 vector, and every layer's weights and bias are views into it; gradients and
@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IoFailure,
-    NonFiniteInput,
-    ShapeMismatch,
-    StaleTape,
-)
+from .errors import DimensionMismatch, NonFiniteInput, ShapeMismatch, StaleTape
 
-ACTIVATIONS = ("relu", "tanh", "linear", "softmax")
+ACTIVATIONS = ("relu", "tanh", "linear")
 
 
 def softmax(logits):
@@ -50,8 +44,6 @@ def _activate(z, kind):
         return np.tanh(z)
     if kind == "linear":
         return z
-    if kind == "softmax":
-        return softmax(z)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -63,8 +55,6 @@ def _activation_input_grad(a, grad_out, kind):
         return grad_out * (1.0 - a * a)
     if kind == "linear":
         return grad_out
-    if kind == "softmax":
-        return softmax_input_grad(a, grad_out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -264,36 +254,11 @@ def adam_step(state: AdamState, params, grad):
 
 
 def net_header(net: DenseNet) -> dict:
-    return {
-        "format": "dense-net",
-        "version": 1,
-        "dtype": "<f8",
-        "layers": [
-            {
-                "activation": l.activation,
-                "out": int(l.w.shape[0]),
-                "in": int(l.w.shape[1]),
-            }
-            for l in net.layers
-        ],
-    }
+    """A net's entry in a checkpoint's ``nets`` block: its format and layers."""
+    layers = [{"activation": l.activation, "out": int(l.w.shape[0]), "in": int(l.w.shape[1])} for l in net.layers]
+    return {"format": "dense-net", "version": 1, "dtype": "<f8", "layers": layers}
 
 
 def net_param_bytes(net: DenseNet) -> bytes:
     # row-major little-endian float64: w then b, layer by layer
     return np.asarray(net.flat, dtype="<f8").tobytes()
-
-
-def net_from_header(header: dict, raw: bytes, offset: int = 0) -> tuple[DenseNet, int]:
-    if header.get("version") != 1 or header.get("format") != "dense-net":
-        raise IoFailure(f"unsupported checkpoint header {header!r}")
-    specs = [(int(s["out"]), int(s["in"]), s["activation"]) for s in header["layers"]]
-    count = sum(out * (fan_in + 1) for out, fan_in, _ in specs)
-    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    layers, pos = [], 0
-    for out, fan_in, activation in specs:
-        w = flat[pos : pos + out * fan_in].reshape(out, fan_in)
-        pos += out * fan_in
-        layers.append(Layer(w, flat[pos : pos + out], activation))
-        pos += out
-    return DenseNet(layers), offset + 8 * count

@@ -163,6 +163,8 @@ class Td3Config:
             raise ValueError(f"tau {self.tau} outside (0, 1]")
         if self.policy_delay < 1:
             raise ValueError("policy_delay must be >= 1")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden sizes {list(self.hidden)} must each be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size {self.batch_size} must be >= 1")
         if self.buffer_capacity < 1:
@@ -175,6 +177,11 @@ class Td3Config:
                 )
 
 
+def _net_sizes(obs_dim: int, n_assets: int, hidden) -> tuple[list[int], list[int]]:
+    """Layer widths of the actor and of each critic, and of their targets."""
+    return [obs_dim, *hidden, n_assets], [obs_dim + n_assets, *hidden, 1]
+
+
 class Td3Agent:
     """TD3 with softmax-on-logits actions over portfolio weights."""
 
@@ -185,11 +192,11 @@ class Td3Agent:
         self.seed = seed
         ss = np.random.SeedSequence(seed)
         init_rng, self.noise_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-        h = list(self.config.hidden)
-        acts = ["relu"] * len(h) + ["linear"]
-        self.actor = nn.DenseNet.create([obs_dim, *h, n_assets], acts, init_rng)
-        self.critic1 = nn.DenseNet.create([obs_dim + n_assets, *h, 1], acts, init_rng)
-        self.critic2 = nn.DenseNet.create([obs_dim + n_assets, *h, 1], acts, init_rng)
+        actor, critic = _net_sizes(obs_dim, n_assets, self.config.hidden)
+        acts = ["relu"] * len(self.config.hidden) + ["linear"]
+        self.actor = nn.DenseNet.create(actor, acts, init_rng)
+        self.critic1 = nn.DenseNet.create(critic, acts, init_rng)
+        self.critic2 = nn.DenseNet.create(critic, acts, init_rng)
         self.actor_target = self.actor.copy()
         self.critic1_target = self.critic1.copy()
         self.critic2_target = self.critic2.copy()
@@ -276,16 +283,6 @@ class Td3Agent:
 
     # -- persistence --------------------------------------------------------
 
-    def _nets(self) -> dict:
-        return {
-            "actor": self.actor,
-            "actor_target": self.actor_target,
-            "critic1": self.critic1,
-            "critic1_target": self.critic1_target,
-            "critic2": self.critic2,
-            "critic2_target": self.critic2_target,
-        }
-
     def snapshot(self) -> "Td3Agent":
         """Deep copy used for best-checkpoint selection."""
         return copy.deepcopy(self)
@@ -302,9 +299,9 @@ def save_agent(agent: Td3Agent, path, extra: dict | None = None):
         "update_count": agent.update_count,
         "config": asdict(agent.config),
         "extra": extra or {},
-        "nets": {name: nn.net_header(net) for name, net in agent._nets().items()},
+        "nets": {name: nn.net_header(getattr(agent, name)) for name in _NET_ORDER},
     }
-    body = b"".join(nn.net_param_bytes(agent._nets()[name]) for name in _NET_ORDER)
+    body = b"".join(nn.net_param_bytes(getattr(agent, name)) for name in _NET_ORDER)
     try:
         with open(path, "wb") as fh:
             fh.write(_MAGIC_AGENT)
@@ -333,13 +330,16 @@ class AgentHeader:
             raise ValueError("obs_dim and n_assets must be >= 1, update_count and seed >= 0")
 
 
-def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None) -> tuple[Td3Agent, dict]:
+def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None, hidden=None) -> tuple[Td3Agent, dict]:
     """Rebuild an agent from :func:`save_agent`; returns (agent, extra).
 
-    A checkpoint that cannot be parsed, whose header has a value of the
-    wrong type or range, or whose body is shorter or longer than its header
-    says, raises ``IoFailure``; one built for another ``obs_dim`` or
-    ``n_assets`` than the ones given raises ``ConfigError``.
+    The agent is the one ``Td3Agent`` builds from the header's dimensions
+    and config, its nets filled from the body in ``_NET_ORDER``. A header
+    that cannot be parsed or has a value of the wrong type or range, a body
+    that does not hold one float64 per parameter, or a ``nets`` block that
+    does not describe the built nets raises ``IoFailure``. Dimensions or
+    hidden sizes other than the given ones raise ``ConfigError``, before
+    any net is built.
     """
     try:
         with open(path, "rb") as fh:
@@ -359,22 +359,22 @@ def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None) ->
         head = from_json(AgentHeader, header, "checkpoint")
     except (ValueError, ConfigError) as exc:
         raise IoFailure(f"corrupt agent checkpoint {path}: {exc}") from exc
-    for field_name, want in (("obs_dim", obs_dim), ("n_assets", n_assets)):
-        got = getattr(head, field_name)
+    actor, critic = _net_sizes(head.obs_dim, head.n_assets, head.config.hidden)
+    count = sum(k * out * (n_in + 1) for k, s in ((2, actor), (4, critic)) for n_in, out in zip(s, s[1:]))
+    if len(raw) != 8 * count:
+        raise IoFailure(f"agent checkpoint {path} body holds {len(raw)} bytes, its header {8 * count}")
+    for field_name, want, got in (
+        ("obs_dim", obs_dim, head.obs_dim),
+        ("n_assets", n_assets, head.n_assets),
+        ("agent.hidden", None if hidden is None else tuple(hidden), head.config.hidden),
+    ):
         if want is not None and got != want:
             raise ConfigError(f"checkpoint {path} has {field_name} {got}, the run config needs {want}")
-    try:
-        agent = Td3Agent(head.obs_dim, head.n_assets, head.config, seed=head.seed)
-        offset = 0
-        for name in _NET_ORDER:
-            net, offset = nn.net_from_header(head.nets[name], raw, offset)
-            setattr(agent, name, net)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IoFailure(f"corrupt agent checkpoint {path}: {exc}") from exc
-    if offset != len(raw):
-        raise IoFailure(f"agent checkpoint {path} body holds {len(raw)} bytes, its header {offset}")
+    agent = Td3Agent(head.obs_dim, head.n_assets, head.config, seed=head.seed)
+    if head.nets != {name: nn.net_header(getattr(agent, name)) for name in _NET_ORDER}:
+        raise IoFailure(f"agent checkpoint {path} has a nets block that its config does not build")
+    ends = np.cumsum([getattr(agent, name).flat.size for name in _NET_ORDER])
+    for name, part in zip(_NET_ORDER, np.split(np.frombuffer(raw, dtype="<f8"), ends[:-1])):
+        getattr(agent, name).flat[:] = part
     agent.update_count = head.update_count
-    agent.actor_opt = nn.AdamState.for_params(agent.actor.flat, lr=agent.config.lr)
-    agent.critic1_opt = nn.AdamState.for_params(agent.critic1.flat, lr=agent.config.lr)
-    agent.critic2_opt = nn.AdamState.for_params(agent.critic2.flat, lr=agent.config.lr)
     return agent, head.extra

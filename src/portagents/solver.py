@@ -184,9 +184,10 @@ class RiskControlProblem:
             raise DimensionMismatch(
                 f"covariance {self.cov.shape} incompatible with {n} assets"
             )
-        if self.sigma_s < 0:
+        # written so that NaN fails too
+        if not self.sigma_s >= 0:
             raise ValueError(f"sigma_s {self.sigma_s} must be non-negative")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError(f"mu {self.mu} must be non-negative")
 
     def effective_mu(self) -> float:

@@ -31,3 +31,9 @@ def random_simplex(rng, n):
 def random_psd(rng, n, scale=1.0):
     m = rng.normal(size=(n, n)) * scale
     return m @ m.T / n
+
+
+def relatives_window(obs):
+    """The (window, n_assets) block of price relatives in an observation."""
+    w, n = obs.window, obs.n_assets
+    return obs.vector[: w * n].reshape(w, n)

@@ -1,6 +1,8 @@
 """End-to-end CLI runs: exit codes, artifacts, byte-stable re-runs."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -217,9 +219,29 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
         ("observer", "risk_window", 0),
         ("observer", "base_risk", -1.0),
         ("observer", "base_risk", float("nan")),
+        ("observer", "hidden", 0),
+        ("reward", "lambda1", float("nan")),
+        ("agent", "lr", float("inf")),
+        ("agent", "sigma_explore", float("nan")),
+        ("agent", "hidden", [0, 8]),
+        ("agent", "hidden", [-1, 8]),
+        ("solver", "f", float("nan")),
+        ("solver", "mu", -1.0),
+        ("env", "c0", float("inf")),
+        ("metrics", "risk_free_rate", float("nan")),
     ):
-        bad.write_text(json.dumps({**CONFIG, block: {**CONFIG[block], name: value}}))
+        bad.write_text(json.dumps({**CONFIG, block: {**CONFIG.get(block, {}), name: value}}))
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, (name, value)
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err, err
+    for change, name in (
+        ({"seed": -1}, "seed"),
+        ({"splits": [float("nan"), 0.5, 0.5]}, "splits[0]"),
+        (with_synth(seed=-1), "data.synth.seed"),
+        (with_synth(regimes=[{"length": 120, "vol": float("inf")}]), "data.synth.regimes[0].vol"),
+    ):
+        bad.write_text(json.dumps({**CONFIG, **change}))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, change
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err, err
     # a ring that never holds a batch or the warmup would never update
@@ -269,6 +291,35 @@ def test_exit_code_3_on_non_finite_close(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def set_close(line: str, close: str) -> str:
+    date, asset, *_ = line.split(",")
+    return ",".join([date, asset, close, close, close, close])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (lambda lines: lines[:5] + [",".join(lines[5].split(",")[:3])] + lines[6:], "line 6 has 3 fields, the header 6"),
+        (lambda lines: lines[:5] + [lines[5] + ",1.0"] + lines[6:], "line 6 has 7 fields, the header 6"),
+        (lambda lines: lines[:6] + lines[5:], "line 7 repeats date 2000-01-03, asset 'A1' of line 6"),
+        (lambda lines: lines[:5] + [set_close(lines[5], "1e-320")] + lines[6:], "A1 on 2000-01-04 is inf"),
+    ],
+    ids=["short-row", "long-row", "repeated-date-and-asset", "relative-overflows"],
+)
+def test_exit_code_3_on_damaged_csv_row(damage, message, config_path, tmp_path, capsys):
+    csv_path = tmp_path / "prices.csv"
+    assert main(["synth", "--config", config_path, "--out", str(csv_path)]) == 0
+    csv_path.write_text("\n".join(damage(csv_path.read_text().splitlines())) + "\n")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**CONFIG, "data": {"file": str(csv_path)}}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["train"], ["compare", "--strategies", "crp,single"]],
@@ -286,13 +337,24 @@ def test_exit_code_3_on_synthetic_overflow(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.fixture(scope="module")
-def checkpoint_bytes(tmp_path_factory):
-    work = tmp_path_factory.mktemp("checkpoint")
+def trained_checkpoint(work, config) -> bytes:
     path = work / "run.json"
-    path.write_text(json.dumps(CONFIG))
+    path.write_text(json.dumps(config))
     assert main(["train", "--config", str(path), "--out", str(work / "train")]) == 0
     return read_bytes(work / "train" / "checkpoint.bin")
+
+
+MLP_CONFIG = {**CONFIG, "observer": {**CONFIG["observer"], "kind": "mlp"}}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    return trained_checkpoint(tmp_path_factory.mktemp("checkpoint"), CONFIG)
+
+
+@pytest.fixture(scope="module")
+def mlp_checkpoint_bytes(tmp_path_factory):
+    return trained_checkpoint(tmp_path_factory.mktemp("mlp_checkpoint"), MLP_CONFIG)
 
 
 def run_backtest(tmp_path, config, checkpoint: bytes) -> int:
@@ -308,13 +370,13 @@ DELETE = object()
 
 def set_header(path: str, value):
     """A damage that sets the checkpoint header's value at the dotted
-    ``path``, or deletes it for ``DELETE``."""
+    ``path`` (a number indexes a list), or deletes it for ``DELETE``."""
 
     def damage(blob):
         magic, _, rest = blob.partition(b"\n")
         line, _, body = rest.partition(b"\n")
         header = json.loads(line)
-        *parents, key = path.split(".")
+        *parents, key = [int(name) if name.isdigit() else name for name in path.split(".")]
         block = header
         for name in parents:
             block = block[name]
@@ -345,6 +407,15 @@ def set_header(path: str, value):
         pytest.param(set_header("obs_dim", -1), id="obs-dim-negative"),
         pytest.param(set_header("seed", None), id="seed-null"),
         pytest.param(set_header("update_count", 1.5), id="update-count-fraction"),
+        pytest.param(set_header("nets.actor", []), id="nets-actor-empty-list"),
+        pytest.param(set_header("nets.actor", 5), id="nets-actor-number"),
+        pytest.param(set_header("nets.actor.layers.2.activation", "tanh"), id="actor-activation-tanh"),
+        pytest.param(set_header("nets.actor.layers.2.activation", "softmax"), id="actor-activation-softmax"),
+        pytest.param(set_header("nets.critic1.layers.0.activation", "linear"), id="critic1-activation-linear"),
+        pytest.param(set_header("nets.actor.dtype", ">f8"), id="nets-actor-big-endian"),
+        pytest.param(set_header("config.hidden", [8, 4]), id="config-hidden-not-the-nets"),
+        pytest.param(set_header("config.hidden", [0, 8]), id="config-hidden-zero"),
+        pytest.param(set_header("config.lr", float("nan")), id="config-lr-nan"),
     ],
 )
 def test_exit_code_3_on_damaged_checkpoint(damage, checkpoint_bytes, tmp_path, capsys):
@@ -361,6 +432,27 @@ def test_exit_code_2_on_checkpoint_of_other_window(checkpoint_bytes, tmp_path, c
     assert run_backtest(tmp_path, config, checkpoint_bytes) == 2
     err = capsys.readouterr().err
     assert "obs_dim" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("hidden", [[4, 4], [8, 8, 8]])
+def test_exit_code_2_on_checkpoint_of_other_hidden_sizes(hidden, checkpoint_bytes, tmp_path, capsys):
+    config = {**CONFIG, "agent": {**CONFIG["agent"], "hidden": hidden}}  # the checkpoint's are [8, 8]
+    assert run_backtest(tmp_path, config, checkpoint_bytes) == 2
+    err = capsys.readouterr().err
+    assert "agent.hidden" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("saved,wanted", [("dc", "mlp"), ("mlp", "dc")])
+def test_exit_code_2_on_checkpoint_of_other_observer_kind(
+    saved, wanted, checkpoint_bytes, mlp_checkpoint_bytes, tmp_path, capsys
+):
+    checkpoint = checkpoint_bytes if saved == "dc" else mlp_checkpoint_bytes
+    config = {**CONFIG, "observer": {**CONFIG["observer"], "kind": wanted}}
+    assert run_backtest(tmp_path, config, checkpoint) == 2
+    err = capsys.readouterr().err
+    assert "observer.kind" in err
     assert "Traceback" not in err
 
 
@@ -382,15 +474,101 @@ HEADER_PATHS = (
     "n_assets",
     "seed",
     "update_count",
+    "nets.actor",
+    "nets.actor.layers",
+    "nets.critic1.dtype",
+    "config.hidden",
+    "config.lr",
 )
 HEADER_VALUES = ("x", None, -1, 0, 1.5, [], {}, True, float("nan"))
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(path=st.sampled_from(HEADER_PATHS), value=st.sampled_from(HEADER_VALUES))
 def test_fuzzed_checkpoint_header_exits_cleanly(path, value, checkpoint_bytes, tmp_path, capsys):
     assert run_backtest(tmp_path, CONFIG, set_header(path, value)(checkpoint_bytes)) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# CONFIG with the defaults of the numeric fields it leaves out written in
+FUZZ_CONFIG = {
+    **CONFIG,
+    "reward": {"lambda1": 1.0, "lambda2": 0.1},
+    "agent": {
+        **CONFIG["agent"],
+        "gamma": 0.99,
+        "tau": 0.005,
+        "policy_delay": 2,
+        "sigma_explore": 0.1,
+        "sigma_smooth": 0.2,
+        "noise_clip": 0.5,
+        "lr": 3e-4,
+    },
+    "solver": {**CONFIG["solver"], "f": 0.8, "cr": 0.9, "mu": 0.1},
+    "observer": {
+        **CONFIG["observer"],
+        "theta": 0.005,
+        "base_risk": 0.01,
+        "base_risk_quantile": 0.5,
+        "scale": 1.0,
+        "hidden": 16,
+        "feature_window": 10,
+        "lr": 1e-3,
+    },
+    "env": {**CONFIG["env"], "c_tx": 0.0, "c0": 1.0},
+    "metrics": {**CONFIG["metrics"], "risk_free_rate": 0.0, "days_per_year": 252},
+}
+
+
+def numeric_leaves(value, path=()):
+    """The paths of every number in a JSON value, as tuples of keys and indices."""
+    if isinstance(value, dict):
+        return [p for key, v in value.items() for p in numeric_leaves(v, (*path, key))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in numeric_leaves(v, (*path, i))]
+    return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def set_leaf(config, path, value):
+    block = config
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+
+
+def report_numbers(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in report_numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in report_numbers(v)]
+    return [value] if isinstance(value, float) else []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["dc", "mlp"]),
+    changes=st.lists(
+        st.tuples(st.sampled_from(numeric_leaves(FUZZ_CONFIG)), st.sampled_from([-1, 0, -0.5, math.nan, math.inf, 2])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_fuzzed_config_exits_cleanly(kind, changes, tmp_path, capsys):
+    # every value is small, so no draw allocates a large net, ring or series
+    config = copy.deepcopy(FUZZ_CONFIG)
+    config["observer"]["kind"] = kind
+    for path, value in changes:
+        set_leaf(config, path, value)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))  # writes NaN and Infinity as json.load reads them
+    out = tmp_path / "bt"
+    code = main(["backtest", "--config", str(cfg_path), "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 0:
+        numbers = report_numbers(json.loads(read_bytes(out / "backtest_report.json")))
+        assert numbers and all(math.isfinite(x) for x in numbers), changes
 
 
 @pytest.mark.parametrize(

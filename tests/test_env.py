@@ -12,7 +12,7 @@ from portagents.env import (
     observation_dim,
 )
 from portagents.errors import EpisodeFinished, InvalidAction, SeriesTooShort
-from helpers import series_from_close
+from helpers import relatives_window, series_from_close
 
 
 def two_asset_series(n_days=20, a_growth=1.0, b_growth=1.0):
@@ -28,7 +28,7 @@ def test_observation_layout():
     obs = env.reset()
     assert obs.vector.shape == (observation_dim(3, 2),)
     assert obs.vector.size == 11  # 3*2 relatives + 2 holdings + 3 features
-    assert obs.relatives_window().shape == (3, 2)
+    assert relatives_window(obs).shape == (3, 2)
     np.testing.assert_allclose(obs.holdings(), [0.5, 0.5])
     np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
 
@@ -37,8 +37,8 @@ def test_observation_window_content():
     close = np.array([[100.0], [110.0], [121.0], [133.1], [150.0]])
     series = series_from_close(close)
     obs = build_observation(series, day=3, window=2)
-    np.testing.assert_allclose(obs.relatives_window().ravel(), [1.1, 1.1])
-    assert obs.relatives_window()[-1, 0] == pytest.approx(1.1)
+    np.testing.assert_allclose(relatives_window(obs).ravel(), [1.1, 1.1])
+    assert relatives_window(obs)[-1, 0] == pytest.approx(1.1)
 
 
 def test_build_observation_bounds():

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from helpers import relatives_window
 from portagents import baselines
 from portagents.baselines import corn_weights, crp_weights, eg_update, olmar_update, pamr_update, rmr_update
 from portagents.errors import ConfigError, DataSplitTooSmall
@@ -420,7 +421,7 @@ def _run_strategy_pass(
     growths, risks = [], []
     done = False
     while not done:
-        weights = strategy.step(obs.relatives_window()[-1])
+        weights = strategy.step(relatives_window(obs)[-1])
         cov = rolling_covariance(returns, t=obs.day, k=k).matrix
         obs, growth, done = env.step(weights)
         equity.append(env.state.capital)

@@ -12,6 +12,8 @@ from portagents.errors import (
     EmptyIntersection,
     InsufficientHistory,
     InvalidRegime,
+    IoFailure,
+    MalformedRow,
     MissingColumn,
     NonPositivePrice,
     UnparseableDate,
@@ -124,6 +126,47 @@ def test_wide_layout(tmp_path):
     np.testing.assert_allclose(series.close, [[1.0, 2.0], [1.1, 2.2]])
     # wide layout reuses close for all four price fields
     np.testing.assert_allclose(series.open, series.close)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-01,1.1,2.2\n", "line 3 repeats date 2020-01-01 of line 2"),
+        ("date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.2,3.3\n", "line 3 has 4 fields, the header 3"),
+    ],
+    ids=["repeated-date", "long-row"],
+)
+def test_wide_layout_rejects_bad_rows(tmp_path, text, message):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedRow, match=re.escape(message)):
+        load_ohlcv(path, LoadConfig(layout="wide"))
+
+
+def test_wide_layout_short_row_leaves_its_date_out(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.1\n2020-01-03,1.2,2.4\n")
+    assert load_ohlcv(path, LoadConfig(layout="wide")).dates == ["2020-01-01", "2020-01-03"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tiny,after", [(1e-320, 100.0), (1e300, 1e-320), (1e-300, 1e300)])
+def test_series_rejects_relatives_that_are_not_positive_and_finite(tiny, after):
+    # every close is a positive finite float; their ratio is not
+    close = np.array([[100.0, 50.0], [tiny, 51.0], [after, 52.0]])
+    with pytest.raises(NonPositivePrice, match="not positive and finite"):
+        series_from_close(close)
+
+
+@pytest.mark.parametrize(
+    "blob", [LONG_HEADER.encode() + b"2020-01-01,A\xff,1,1,1,1\n", LONG_HEADER.encode() + b'"' + b"x" * 200_000 + b'"\n'],
+    ids=["not-utf-8", "field-over-csv-limit"],
+)
+def test_load_maps_unreadable_csv_to_io_failure(tmp_path, blob):
+    path = tmp_path / "p.csv"
+    path.write_bytes(blob)
+    with pytest.raises(IoFailure, match="cannot read"):
+        load_ohlcv(path, LoadConfig())
 
 
 def test_csv_roundtrip(tmp_path):

@@ -1,4 +1,4 @@
-"""Dense-net engine: forward, reverse-mode gradients, Adam, persistence."""
+"""Dense-net engine: forward, reverse-mode gradients, Adam."""
 
 import copy
 import math
@@ -32,12 +32,8 @@ def scalar_forward(net, x):
             a = [max(0.0, v) for v in z]
         elif layer.activation == "tanh":
             a = [math.tanh(v) for v in z]
-        elif layer.activation == "linear":
-            a = z
         else:
-            m = max(z)
-            e = [math.exp(v - m) for v in z]
-            a = [v / sum(e) for v in e]
+            a = z
     return np.array(a)
 
 
@@ -303,25 +299,6 @@ def test_copies_keep_their_layers_tied_to_their_own_vector(clone):
     for p, q, old in zip(twin.params(), net.params(), before):
         assert np.all(p < old)  # every layer of the copy moved
         np.testing.assert_array_equal(q, old)  # the original did not
-
-
-# -- persistence -----------------------------------------------------------------
-
-
-def test_net_save_load_roundtrip():
-    net = make_net([4, 6, 2], ["relu", "linear"], seed=12)
-    raw = b"pad" + nn.net_param_bytes(net)
-    back, end = nn.net_from_header(nn.net_header(net), raw, offset=3)
-    assert end == len(raw)
-    assert [l.activation for l in back.layers] == [l.activation for l in net.layers]
-    for a, b in zip(net.params(), back.params()):
-        np.testing.assert_array_equal(a, b)
-    assert_layers_view(back)
-    # byte-identical on re-save
-    assert nn.net_param_bytes(back) == nn.net_param_bytes(net)
-    back.flat[:] = 0.0  # writable, and not the checkpoint's buffer
-    assert not np.any(back.layers[0].w)
-    assert nn.net_param_bytes(net) == raw[3:]
 
 
 # -- oracle: the engine as it was when each layer owned its arrays ------------------

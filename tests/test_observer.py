@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import relatives_window
 from portagents.env import build_observation, observation_dim
 from portagents import nn
 from portagents.errors import ConfigError, EmptyBatch, InsufficientHistory
@@ -332,7 +333,7 @@ def _index_growths(history) -> np.ndarray:
     """Per-day equal-weight index growth factors from an observation window."""
     growths = np.empty(len(history))
     for i, obs in enumerate(history):
-        growths[i] = float(np.mean(obs.relatives_window()[-1]))
+        growths[i] = float(np.mean(relatives_window(obs)[-1]))
     return growths
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_simplex
-from test_nn import ArrayNet, ListAdamState, flatten, list_adam_step, list_backward
+from test_nn import ArrayNet, ListAdamState, assert_layers_view, flatten, list_adam_step, list_backward
 from portagents import nn
 from portagents.errors import DimensionMismatch, InsufficientBuffer, NonPositiveGrowth
 from portagents.rl import (
@@ -321,11 +321,20 @@ def test_agent_save_load_roundtrip(tmp_path):
     assert back.config == agent.config
     obs = np.linspace(0, 1, 6)
     np.testing.assert_array_equal(back.select_action(obs), agent.select_action(obs))
-    for name in ("actor", "critic1", "critic2", "actor_target"):
-        for p, q in zip(getattr(agent, name).params(), getattr(back, name).params()):
+    for name in _NET_ORDER:
+        net, twin = getattr(agent, name), getattr(back, name)
+        assert [l.activation for l in twin.layers] == [l.activation for l in net.layers]
+        for p, q in zip(net.params(), twin.params()):
             np.testing.assert_array_equal(p, q)
+        assert_layers_view(twin)
+    # byte-identical on re-save
     save_agent(back, tmp_path / "agent2.bin", extra={"note": "roundtrip"})
     assert (tmp_path / "agent.bin").read_bytes() == (tmp_path / "agent2.bin").read_bytes()
+    # writable, and not the checkpoint's buffer; the optimiser starts afresh
+    assert back.actor_opt.step == 0 and not np.any(back.actor_opt.m)
+    back.actor.flat[:] = 0.0
+    assert not np.any(back.actor.layers[0].w)
+    assert np.any(agent.actor.layers[0].w)
 
 
 def test_snapshot_keeps_each_net_tied_to_its_own_vector():

@@ -202,6 +202,13 @@ def test_de_rejects_bad_budget():
 # -- propose_control ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("field", ["sigma_s", "mu"])
+def test_problem_rejects_nan_boundary_and_penalty(field):
+    args = {"a_rl": np.array([0.6, 0.4]), "cov": np.eye(2), "sigma_s": 0.1, "mu": 0.1}
+    with pytest.raises(ValueError, match=field):
+        RiskControlProblem(**{**args, field: np.nan})
+
+
 def test_control_noop_on_zero_covariance():
     problem = RiskControlProblem(
         a_rl=np.array([0.6, 0.4]), cov=np.zeros((2, 2)), sigma_s=0.0
