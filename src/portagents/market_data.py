@@ -198,6 +198,7 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
                 c = _parse_price(text, line_no, name)
                 cells.setdefault(name, {})[date] = (c, c, c, c, line_no)
 
+    del rows  # parsed: free the text before the panels are built
     if not cells:
         raise EmptyIntersection(f"{path} has no data rows")
 
