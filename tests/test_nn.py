@@ -1,4 +1,4 @@
-"""Dense-net engine: forward, reverse-mode gradients, Adam."""
+"""Dense-net engine: forward, reverse-mode gradients, Adam, persistence."""
 
 import copy
 import math
@@ -299,6 +299,28 @@ def test_copies_keep_their_layers_tied_to_their_own_vector(clone):
     for p, q, old in zip(twin.params(), net.params(), before):
         assert np.all(p < old)  # every layer of the copy moved
         np.testing.assert_array_equal(q, old)  # the original did not
+
+
+# -- persistence -----------------------------------------------------------------
+
+
+def test_net_save_load_roundtrip():
+    # a checkpoint restores a net by filling one built from the same spec
+    net = make_net([4, 6, 2], ["relu", "linear"], seed=12)
+    raw = nn.net_param_bytes(net)
+    back = make_net([4, 6, 2], ["relu", "linear"], seed=13)
+    assert nn.net_header(back) == nn.net_header(net)
+    assert len(raw) == 8 * back.flat.size
+    back.flat[:] = np.frombuffer(raw, dtype="<f8")
+    assert [l.activation for l in back.layers] == [l.activation for l in net.layers]
+    for a, b in zip(net.params(), back.params()):
+        np.testing.assert_array_equal(a, b)
+    assert_layers_view(back)
+    # byte-identical on re-save
+    assert nn.net_param_bytes(back) == raw
+    back.flat[:] = 0.0  # writable, and not the checkpoint's buffer
+    assert not np.any(back.layers[0].w)
+    assert nn.net_param_bytes(net) == raw
 
 
 # -- oracle: the engine as it was when each layer owned its arrays ------------------
