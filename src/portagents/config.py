@@ -106,6 +106,10 @@ class SolverConfig:
             raise ConfigError(f"unknown sigma_mode {self.sigma_mode!r}")
         if self.mu < 0:
             raise ConfigError(f"solver.mu {self.mu} must be >= 0")
+        if not 0.0 < self.f <= 2.0:
+            raise ConfigError(f"solver.f {self.f} outside (0, 2]")
+        if not 0.0 <= self.cr <= 1.0:
+            raise ConfigError(f"solver.cr {self.cr} outside [0, 1]")
 
 
 @dataclass

@@ -32,13 +32,12 @@ from .metrics import (
     wilcoxon_rank_sum,
 )
 from .observer import (
-    N_MARKET_FEATURES,
     OBSERVER_KINDS,
     DcObserver,
     MlpObserver,
     ObserverConfig,
-    RiskSignal,
     make_observer,
+    neutral_signal,
 )
 from .rl import (
     ReplayBuffer,
@@ -195,7 +194,7 @@ def _run_pass(
                 trace.record("observer", episode, step_i, sigma_s=sig.sigma_s)
             env.set_market_features(sig.v_m)
         elif tier == "dual":
-            sig = RiskSignal(config.observer.base_risk, np.zeros(N_MARKET_FEATURES))
+            sig = neutral_signal(config.observer.base_risk)
         else:
             sig = None
 
@@ -459,7 +458,7 @@ def resolve_strategy(name: str, config: RunConfig) -> tuple[str, RunConfig, str]
         cfg = replace(cfg, reward=RewardConfig(cfg.reward.lambda1, 0.0))
     if base in baselines.REGISTRY:
         return "baseline", cfg, base
-    if base in ("single", "td3"):
+    if base == "single":
         return "single", replace(cfg, tier="single"), base
     if base == "dual":
         return "dual", replace(cfg, tier="dual"), base

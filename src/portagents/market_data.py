@@ -30,6 +30,10 @@ from .errors import (
 
 PRICE_FIELDS = ("open", "high", "low", "close")
 
+# the range a close relative must fall in: a relative near 1e298 is finite,
+# but it overflows the first layer of a net that reads it
+RELATIVE_BOUNDS = (1e-6, 1e6)
+
 
 @dataclass
 class OhlcvSeries:
@@ -67,11 +71,17 @@ class OhlcvSeries:
         # every pass slices this one array, so none may write into it
         with np.errstate(over="ignore"):
             self._relatives = self.close[1:] / self.close[:-1]
-        bad = ~(np.isfinite(self._relatives) & (self._relatives > 0.0))
-        if bad.any():
-            t, j = np.argwhere(bad)[0]
-            raise NonPositivePrice(f"close relative of {self.asset_ids[j]} on {self.dates[t + 1]} is "
-                                   f"{self._relatives[t, j]}, not positive and finite")
+        rel = self._relatives
+        lo, hi = RELATIVE_BOUNDS
+        for bad, rule in (
+            (~(np.isfinite(rel) & (rel > 0.0)), "not positive and finite"),
+            ((rel < lo) | (rel > hi), f"outside [{lo:g}, {hi:g}]"),
+        ):
+            if bad.any():
+                t, j = np.argwhere(bad)[0]
+                raise NonPositivePrice(
+                    f"close relative of {self.asset_ids[j]} on {self.dates[t + 1]} is {rel[t, j]}, {rule}"
+                )
         self._relatives.setflags(write=False)
 
     @property

@@ -88,21 +88,14 @@ def annual_return(equity_curve, days_per_year: int = 252) -> float:
 
 
 def max_drawdown(equity_curve) -> float:
-    """Largest peak-to-trough loss fraction, single pass."""
+    """Largest peak-to-trough loss fraction against the running peak."""
     c = np.asarray(equity_curve, dtype=np.float64)
     if c.ndim != 1 or c.size < 1:
         raise DimensionMismatch("equity curve needs at least 1 point")
     if not np.all(c > 0.0):
         raise InvalidAction("equity curve must stay positive")
-    peak = c[0]
-    worst = 0.0
-    for value in c:
-        if value > peak:
-            peak = value
-        dd = (peak - value) / peak
-        if dd > worst:
-            worst = dd
-    return float(worst)
+    peak = np.maximum.accumulate(c)
+    return float(np.max((peak - c) / peak))
 
 
 # -- rank-sum test ------------------------------------------------------------

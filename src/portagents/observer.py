@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
 from .errors import ConfigError, EmptyBatch, InsufficientHistory
@@ -82,62 +83,14 @@ class RiskSignal:
     v_m: np.ndarray  # [trend in {-1,0,+1}, dc intensity, realised-vol ratio]
 
 
-@dataclass(frozen=True)
-class DcMapping:
-    """Trend -> boundary scaling: relax in uptrends, tighten in downtrends."""
-
-    up: float = 1.5
-    neutral: float = 1.0
-    down: float = 0.5
-
-    def factor(self, trend: float) -> float:
-        if trend > 0:
-            return self.up
-        if trend < 0:
-            return self.down
-        return self.neutral
+# trend -> boundary scaling: relax in uptrends, tighten in downtrends
+_TREND_FACTOR = {1.0: 1.5, 0.0: 1.0, -1.0: 0.5}
 
 
-def _trend_features(growths: np.ndarray, theta: float):
-    path = np.concatenate([[1.0], np.cumprod(growths)])
-    events = dc_detect(path, theta)
-    if events:
-        trend = 1.0 if events[-1].kind == "upturn" else -1.0
-    else:
-        trend = 0.0
-    intensity = len(events) / path.size
-    returns = growths - 1.0
-    overall = float(returns.std())
-    recent = float(returns[returns.size // 2 :].std())
-    ratio = recent / overall if overall > 1e-12 else 1.0
-    return trend, intensity, ratio
-
-
-def observe_dc(
-    relatives,
-    theta: float,
-    base_risk: float,
-    mapping: DcMapping | None = None,
-    lookback: int = 63,
-) -> RiskSignal:
-    """Risk signal from directional-change events on the equal-weight index.
-
-    ``relatives`` is a (k, N) array of price relatives for consecutive days
-    ending today, oldest first, with k >= ``lookback``. Its last ``lookback``
-    rows, averaged across assets, are the index growths the DC detector
-    walks; sigma_s = base_risk scaled by the trend factor.
-    """
-    if len(relatives) < lookback:
-        raise InsufficientHistory(
-            f"{len(relatives)} days of relatives, fewer than lookback {lookback}"
-        )
-    mapping = mapping or DcMapping()
-    growths = relatives[-lookback:].mean(axis=1)
-    trend, intensity, ratio = _trend_features(growths, theta)
-    return RiskSignal(
-        sigma_s=base_risk * mapping.factor(trend),
-        v_m=np.array([trend, intensity, ratio]),
-    )
+def neutral_signal(base_risk: float) -> RiskSignal:
+    """The signal of an observer that has not seen its window yet, and of
+    the dual tier, which has no observer: base_risk and a zero market vector."""
+    return RiskSignal(sigma_s=base_risk, v_m=np.zeros(N_MARKET_FEATURES))
 
 
 OBSERVER_KINDS = ("dc", "mlp")
@@ -168,8 +121,9 @@ class ObserverConfig:
             raise ConfigError(f"observer.kind {self.kind!r} not in {OBSERVER_KINDS}")
         if self.lookback < 1 or self.feature_window < 1:
             raise ConfigError("observer.lookback and observer.feature_window must be >= 1")
-        if not self.theta > 0.0:
-            raise ConfigError(f"observer.theta {self.theta} must be positive")
+        for name in ("theta", "scale", "lr"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"observer.{name} {getattr(self, name)} must be positive")
         if not self.base_risk >= 0.0:
             raise ConfigError(f"observer.base_risk {self.base_risk} must be non-negative")
         if not 0.0 <= self.base_risk_quantile <= 1.0:
@@ -188,26 +142,34 @@ class DcObserver:
     def __init__(self, config: ObserverConfig | None = None):
         self.config = config or ObserverConfig(kind="dc")
         self.base_risk = self.config.base_risk
-        self.mapping = DcMapping()
-
-    def neutral_signal(self) -> RiskSignal:
-        return RiskSignal(sigma_s=self.base_risk, v_m=np.zeros(N_MARKET_FEATURES))
 
     def reset(self) -> None:
         """Start a pass: the DC observer keeps no state between steps."""
 
     def observe(self, relatives) -> RiskSignal:
         """Signal from a (k, N) array of price relatives for consecutive days
-        ending today, oldest first: neutral while k < ``lookback``, then the
-        DC mapping on the last ``lookback`` days."""
-        if len(relatives) < self.config.lookback:
-            return self.neutral_signal()
-        return observe_dc(
-            relatives,
-            theta=self.config.theta,
-            base_risk=self.base_risk,
-            mapping=self.mapping,
-            lookback=self.config.lookback,
+        ending today, oldest first: neutral while k < ``lookback``. Then the
+        last ``lookback`` rows, averaged across assets, are the index growths
+        the DC detector walks. The last event sets the trend (+1 upturn, -1
+        downturn, 0 none), and sigma_s is base_risk times the trend factor;
+        v_m is [trend, events per day, realised-vol ratio of the recent half
+        to the whole window]."""
+        lookback = self.config.lookback
+        if len(relatives) < lookback:
+            return neutral_signal(self.base_risk)
+        growths = relatives[-lookback:].mean(axis=1)
+        path = np.concatenate([[1.0], np.cumprod(growths)])
+        events = dc_detect(path, self.config.theta)
+        trend = 0.0
+        if events:
+            trend = 1.0 if events[-1].kind == "upturn" else -1.0
+        returns = growths - 1.0
+        overall = float(returns.std())
+        recent = float(returns[returns.size // 2 :].std())
+        ratio = recent / overall if overall > 1e-12 else 1.0
+        return RiskSignal(
+            sigma_s=self.base_risk * _TREND_FACTOR[trend],
+            v_m=np.array([trend, len(events) / path.size, ratio]),
         )
 
     def update(self, relatives, realized_risk=None) -> dict:
@@ -238,10 +200,6 @@ class MlpObserver:
         )
         self.opt = nn.AdamState.for_params(self.net.flat, lr=self.config.lr)
         self.last_prediction: float | None = None
-        self.base_risk = self.config.base_risk
-
-    def neutral_signal(self) -> RiskSignal:
-        return RiskSignal(sigma_s=self.base_risk, v_m=np.zeros(N_MARKET_FEATURES))
 
     def reset(self) -> None:
         """Start a pass: forget the previous pass's last prediction, which
@@ -257,7 +215,7 @@ class MlpObserver:
         of the predicted change, prediction, realised/predicted]."""
         w = self.config.feature_window
         if len(relatives) < w:
-            return self.neutral_signal()
+            return neutral_signal(self.config.base_risk)
         window = relatives[-w:].mean(axis=1) - 1.0
         realized = float(window.std())
         out, _ = nn.forward(self.net, np.concatenate([window, [realized]]))
@@ -268,32 +226,32 @@ class MlpObserver:
         sigma_s = max(pred, 0.0) * self.config.scale
         # keep the boundary strictly positive even for an untrained net
         if sigma_s <= 0.0:
-            sigma_s = self.base_risk
+            sigma_s = self.config.base_risk
         return RiskSignal(sigma_s=sigma_s, v_m=np.array([change, pred, ratio]))
 
     def update(self, relatives, realized_risk=None) -> dict:
         """One supervised epoch on (trailing window -> next-window vol) over
         the equal-weight index of a (k, N) array of a pass's consecutive
-        price relatives, oldest first."""
+        price relatives, oldest first. Each input row is a window of ``w``
+        index returns followed by its std, and its target is the std of the
+        next window: k - 2w + 1 pairs."""
         if not len(relatives):
             raise EmptyBatch("observer update needs at least one day")
         w = self.config.feature_window
         returns = relatives.mean(axis=1) - 1.0
-        feats, targets = [], []
-        for i in range(w, returns.size - w + 1):
-            window = returns[i - w : i]
-            feats.append(np.concatenate([window, [window.std()]]))
-            targets.append(returns[i : i + w].std())
-        if not feats:
+        pairs = returns.size - 2 * w + 1
+        if pairs < 1:
             return {"loss": None, "pairs": 0}
-        x = np.stack(feats)
-        y = np.asarray(targets).reshape(-1, 1)
+        windows = sliding_window_view(returns, w)
+        stds = windows.std(axis=1)
+        x = np.column_stack([windows[:pairs], stds[:pairs]])
+        y = stds[w:, None]
         out, tape = nn.forward(self.net, x)
         err = out - y
         loss = float(np.mean(err * err))
-        grad, _ = nn.backward(self.net, tape, 2.0 * err / len(feats))
+        grad, _ = nn.backward(self.net, tape, 2.0 * err / pairs)
         nn.adam_step(self.opt, self.net.flat, grad)
-        return {"loss": loss, "pairs": len(feats)}
+        return {"loss": loss, "pairs": pairs}
 
 
 def make_observer(config: ObserverConfig, seed=0):

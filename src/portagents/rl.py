@@ -163,6 +163,11 @@ class Td3Config:
             raise ValueError(f"tau {self.tau} outside (0, 1]")
         if self.policy_delay < 1:
             raise ValueError("policy_delay must be >= 1")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr {self.lr} must be positive")
+        for name in ("sigma_explore", "sigma_smooth", "noise_clip", "warmup"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 0")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden sizes {list(self.hidden)} must each be >= 1")
         if self.batch_size < 1:

@@ -90,7 +90,6 @@ class DeResult:
     x: np.ndarray
     value: float
     evaluations: int
-    trace: np.ndarray  # best-so-far objective after init and each generation
 
 
 def differential_evolution(
@@ -133,7 +132,6 @@ def differential_evolution(
 
     best_i = int(np.argmin(values))
     best_x, best_v = pop[best_i].copy(), float(values[best_i])
-    trace = [best_v]
     rows = np.arange(population)
 
     while evals + population <= budget:
@@ -155,9 +153,8 @@ def differential_evolution(
         if values[gen_best] < best_v:
             best_v = float(values[gen_best])
             best_x = pop[gen_best].copy()
-        trace.append(best_v)
 
-    return DeResult(x=best_x, value=best_v, evaluations=evals, trace=np.asarray(trace))
+    return DeResult(x=best_x, value=best_v, evaluations=evals)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import portagents
@@ -229,6 +229,15 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
         ("solver", "mu", -1.0),
         ("env", "c0", float("inf")),
         ("metrics", "risk_free_rate", float("nan")),
+        ("agent", "lr", -1.0),
+        ("agent", "sigma_explore", -1.0),
+        ("agent", "sigma_smooth", -1.0),
+        ("agent", "noise_clip", -1.0),
+        ("agent", "warmup", -1),
+        ("observer", "lr", -1.0),
+        ("observer", "scale", -1.0),
+        ("solver", "f", -1.0),
+        ("solver", "cr", 2.0),
     ):
         bad.write_text(json.dumps({**CONFIG, block: {**CONFIG.get(block, {}), name: value}}))
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, (name, value)
@@ -304,8 +313,12 @@ def set_close(line: str, close: str) -> str:
         (lambda lines: lines[:5] + [lines[5] + ",1.0"] + lines[6:], "line 6 has 7 fields, the header 6"),
         (lambda lines: lines[:6] + lines[5:], "line 7 repeats date 2000-01-03, asset 'A1' of line 6"),
         (lambda lines: lines[:5] + [set_close(lines[5], "1e-320")] + lines[6:], "A1 on 2000-01-04 is inf"),
+        (lambda lines: lines[:5] + [set_close(lines[5], "1e300")] + lines[6:], "A1 on 2000-01-03 is 9.992620391987421e+297, outside [1e-06, 1e+06]"),
+        (lambda lines: lines[:5] + [set_close(lines[5], "1e-300")] + lines[6:], "A1 on 2000-01-03 is 9.992620391987421e-303, outside [1e-06, 1e+06]"),
+        (lambda lines: lines[:5] + [set_close(lines[5], "1e308")] + lines[6:], "A1 on 2000-01-03 is 9.99262039198742e+305, outside [1e-06, 1e+06]"),
     ],
-    ids=["short-row", "long-row", "repeated-date-and-asset", "relative-overflows"],
+    ids=["short-row", "long-row", "repeated-date-and-asset", "relative-overflows",
+         "relative-above-bound", "relative-below-bound", "relative-near-max-float"],
 )
 def test_exit_code_3_on_damaged_csv_row(damage, message, config_path, tmp_path, capsys):
     csv_path = tmp_path / "prices.csv"
@@ -318,6 +331,46 @@ def test_exit_code_3_on_damaged_csv_row(damage, message, config_path, tmp_path, 
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+# one damage each, applied to a data line of the synth CSV; a close of 1e5
+# among closes near 100 is valid, so the run goes through
+CSV_DAMAGES = {
+    "short-row": lambda line: [",".join(line.split(",")[:3])],
+    "long-row": lambda line: [line + ",1.0"],
+    "repeated-key": lambda line: [line, line],
+    "bad-date": lambda line: ["2000-02-30" + line[line.index(",") :]],
+    **{f"close {c}": (lambda line, c=c: [set_close(line, c)]) for c in ("-1", "nan", "1e300", "1e-300", "1e308", "1e5")},
+}
+
+
+@pytest.fixture(scope="module")
+def synth_csv_lines(tmp_path_factory):
+    base = tmp_path_factory.mktemp("synth")
+    (base / "run.json").write_text(json.dumps(CONFIG))
+    assert main(["synth", "--config", str(base / "run.json"), "--out", str(base / "prices.csv")]) == 0
+    return (base / "prices.csv").read_text().splitlines()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=st.sampled_from(sorted(CSV_DAMAGES)), line=st.integers(1, 240))
+@example(damage="close 1e300", line=5)
+@example(damage="close 1e-300", line=5)
+@example(damage="close 1e308", line=5)
+def test_damaged_csv_exits_cleanly(damage, line, synth_csv_lines, tmp_path, capsys):
+    lines = synth_csv_lines
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text("\n".join(lines[:line] + CSV_DAMAGES[damage](lines[line]) + lines[line + 1 :]) + "\n")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**CONFIG, "data": {"file": str(csv_path)}}))
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    code = main(["compare", "--config", str(cfg_path), "--strategies", "crp,olmar,triple", "--out", str(out)])
+    assert code in (0, 3), (damage, line)
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 0:
+        numbers = report_numbers(json.loads(read_bytes(out / "comparison.json")))
+        assert numbers and all(math.isfinite(x) for x in numbers), (damage, line)
 
 
 @pytest.mark.parametrize(

@@ -560,8 +560,9 @@ def test_resolve_strategy_mapping():
     assert out.reward.lambda1 == cfg.reward.lambda1
     kind, out, name = resolve_strategy("pamr-noact", cfg)
     assert kind == "baseline" and out.reward.lambda2 == 0.0 and name == "pamr"
-    with pytest.raises(ConfigError):
-        resolve_strategy("quad", cfg)
+    for name in ("quad", "td3"):
+        with pytest.raises(ConfigError):
+            resolve_strategy(name, cfg)
 
 
 def test_observer_state_roundtrip():

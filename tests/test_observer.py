@@ -17,13 +17,11 @@ from portagents.config import EnvBlock, RunConfig
 from portagents.harness import _env_for_segment, backtest, split_indices, train
 from portagents.market_data import Regime, synth_generate
 from portagents.observer import (
-    DcMapping,
     DcObserver,
     MlpObserver,
     ObserverConfig,
     dc_detect,
     make_observer,
-    observe_dc,
 )
 from portagents.rl import Td3Agent
 from test_acceptance import PIPELINE_CONFIG
@@ -103,40 +101,33 @@ def test_dc_input_validation():
         dc_detect([100.0, 101.0], 0.0)
 
 
-# -- observe_dc -------------------------------------------------------------------
+# -- DcObserver ---------------------------------------------------------------------
+
+
+def dc_signal(relatives, base_risk, lookback):
+    config = ObserverConfig(kind="dc", theta=0.01, base_risk=base_risk, lookback=lookback)
+    return DcObserver(config).observe(relatives)
 
 
 def test_observe_dc_neutral_without_events():
-    signal = observe_dc(np.ones((20, 2)), theta=0.01, base_risk=0.02, lookback=20)
+    signal = dc_signal(np.ones((20, 2)), base_risk=0.02, lookback=20)
     assert signal.sigma_s == pytest.approx(0.02)
     assert signal.v_m[0] == 0.0
 
 
 def test_observe_dc_downturn_halves_boundary():
     prices = 100.0 * 0.995 ** np.arange(22)
-    signal = observe_dc(relatives_from_prices(prices), theta=0.01, base_risk=0.02, lookback=21)
+    signal = dc_signal(relatives_from_prices(prices), base_risk=0.02, lookback=21)
     assert signal.v_m[0] == -1.0
     assert signal.sigma_s == pytest.approx(0.01)
 
 
 def test_observe_dc_upturn_relaxes_boundary():
     prices = 100.0 * 1.005 ** np.arange(22)
-    signal = observe_dc(relatives_from_prices(prices), theta=0.01, base_risk=0.02, lookback=21)
+    signal = dc_signal(relatives_from_prices(prices), base_risk=0.02, lookback=21)
     assert signal.v_m[0] == 1.0
     assert signal.sigma_s == pytest.approx(0.03)
 
-
-def test_observe_dc_requires_lookback():
-    with pytest.raises(InsufficientHistory):
-        observe_dc(np.ones((5, 1)), theta=0.01, base_risk=0.01, lookback=10)
-
-
-def test_dc_mapping_monotone_in_trend():
-    m = DcMapping()
-    assert m.factor(-1.0) < m.factor(0.0) < m.factor(1.0)
-
-
-# -- DcObserver ---------------------------------------------------------------------
 
 
 def test_dc_observer_neutral_while_window_fills():
@@ -358,9 +349,6 @@ class OracleCheck:
         self.day = self.start_day
         self.history = deque(maxlen=self.config.observer.lookback)
         _prefill_history(self.history, self.series, self.config, self.start_day)
-
-    def neutral_signal(self):
-        return self.observer.neutral_signal()
 
     def observe(self, relatives):
         self.history.append(build_observation(self.series, self.day, self.config.env.window))

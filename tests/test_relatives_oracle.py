@@ -151,8 +151,9 @@ class OldStepEnv(TradingEnv):
 )
 def test_sliced_relatives_equal_the_divisions(n_assets, n_days, window, k, seed):
     rng = np.random.default_rng(seed)
-    # prices over six orders of magnitude, so the quotients round differently
-    close = np.exp(rng.uniform(-7.0, 7.0, size=(n_days, n_assets)))
+    # prices over six orders of magnitude, so the quotients round differently;
+    # e^13.8 < 1e6, so every quotient stays inside RELATIVE_BOUNDS
+    close = np.exp(rng.uniform(-6.9, 6.9, size=(n_days, n_assets)))
     series = series_from_close(close)
     returns = returns_matrix(series)
 
