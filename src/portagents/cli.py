@@ -54,8 +54,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("synth command needs a data.synth block in the config")
     series = cfg.load_series()
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    harness.make_out_dir(out.parent)
     write_ohlcv_csv(series, out)
     print(f"wrote {series.n_days} days x {series.n_assets} assets to {out}")
     return 0
@@ -75,8 +74,7 @@ def cmd_backtest(args) -> int:
     cfg = _load_config(args)
     series = cfg.load_series()
     strategy = args.strategy
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = harness.make_out_dir(args.out)
 
     kind = None
     if strategy is not None:

@@ -110,6 +110,10 @@ class SolverConfig:
             raise ConfigError(f"solver.f {self.f} outside (0, 2]")
         if not 0.0 <= self.cr <= 1.0:
             raise ConfigError(f"solver.cr {self.cr} outside [0, 1]")
+        if self.population < 4:
+            raise ConfigError(f"solver.population {self.population} must be >= 4 for DE/rand/1")
+        if self.budget < self.population:
+            raise ConfigError(f"solver.budget {self.budget} must be >= solver.population {self.population}")
 
 
 @dataclass

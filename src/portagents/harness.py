@@ -598,8 +598,7 @@ def emit_report(report: ComparisonReport, formats, out_dir, prefix: str = "compa
     plotdata CSV is long-format (series, day, value) covering the equity,
     risk, and adjustment trajectories of every strategy.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     if isinstance(formats, str):
         formats = [formats]
     written = []
@@ -629,6 +628,16 @@ def emit_report(report: ComparisonReport, formats, out_dir, prefix: str = "compa
             raise ConfigError(f"unknown report format {fmt!r}")
         written.append(str(path))
     return written
+
+
+def make_out_dir(path) -> Path:
+    """Create an output directory and its parents; IoFailure if it cannot be made."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
+    return out
 
 
 def _write_text(path, text: str):
@@ -698,8 +707,7 @@ def observer_from_state(state: dict | None, config: ObserverConfig, seed: int = 
 
 def save_train_artifacts(result: TrainResult, out_dir, config: RunConfig) -> dict:
     """Write the best-agent checkpoint and the training report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     ckpt = out / "checkpoint.bin"
     save_agent(
         result.agent,

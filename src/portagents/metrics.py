@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     DegenerateSamples,
@@ -98,6 +97,73 @@ def max_drawdown(equity_curve) -> float:
     return float(np.max((peak - c) / peak))
 
 
+# -- normal tail ---------------------------------------------------------------
+# A port of Cephes ndtr, erf and erfc (S. L. Moshier, "Methods and Programs
+# for Mathematical Functions", 1989). The coefficients, the Horner order and
+# the order of every multiply and divide are Cephes', so the results are the
+# same bits as the C library's (the tests compare them).
+
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_SQRT1_2 = 7.07106781186547524401e-1
+# erfc(x) = exp(-x^2) P(x)/Q(x) on [1, 8) and exp(-x^2) R(x)/S(x) beyond;
+# erf(x) = x T(x^2)/U(x^2) on [0, 1]. Q, S and U are monic: the leading 1.0
+# that Cephes' p1evl implies is written out.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+
+
+def _polevl(x: float, coefs) -> float:
+    """The polynomial with these coefficients, leading first, by Horner's rule."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _T) / _polevl(z, _U)
+
+
+def _erfc(a: float) -> float:
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    underflow = 2.0 if a < 0.0 else 0.0
+    if -a * a < -_MAXLOG:
+        return underflow
+    p, q = (_P, _Q) if x < 8.0 else (_R, _S)
+    y = math.exp(-a * a) * _polevl(x, p) / _polevl(x, q)
+    if a < 0.0:
+        y = 2.0 - y
+    return y if y != 0.0 else underflow
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at a, bit for bit Cephes ``ndtr``."""
+    x = a * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(abs(x))
+    return 1.0 - y if x > 0.0 else y
+
+
 # -- rank-sum test ------------------------------------------------------------
 
 
@@ -152,7 +218,8 @@ def wilcoxon_rank_sum(sample_a, sample_b, alpha: float = 0.05) -> WilcoxonResult
 
     Small samples (min side < 8 and pooled size <= 30) use the exact
     permutation null; larger ones use the normal approximation with tie and
-    continuity corrections.
+    continuity corrections. When every pooled value is equal, every
+    assignment ties the observed rank sum, so the exact p is 1.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
@@ -161,12 +228,12 @@ def wilcoxon_rank_sum(sample_a, sample_b, alpha: float = 0.05) -> WilcoxonResult
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NonFiniteInput("samples contain non-finite values")
     pooled = np.concatenate([a, b])
-    if np.all(pooled == pooled[0]):
-        raise DegenerateSamples("all values identical across both samples")
     n, m = a.size, b.size
     ranks = _mid_ranks(pooled)
     w = float(ranks[:n].sum())
 
+    if np.all(pooled == pooled[0]):
+        return WilcoxonResult(w, 1.0, False, exact=True)
     if min(n, m) < 8 and n + m <= 30:
         p = _exact_two_sided_p(ranks, n, w)
         return WilcoxonResult(w, min(p, 1.0), p < alpha, exact=True)
@@ -176,11 +243,9 @@ def wilcoxon_rank_sum(sample_a, sample_b, alpha: float = 0.05) -> WilcoxonResult
     # tie correction on the null variance
     _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = np.sum(tie_counts**3 - tie_counts) / (total * (total - 1))
-    var = n * m / 12.0 * (total + 1 - tie_term)
-    if var <= 0.0:
-        raise DegenerateSamples("rank variance collapsed to zero")
+    var = n * m / 12.0 * (total + 1 - tie_term)  # > 0: not every value is tied
     z = (abs(w - mu) - 0.5) / math.sqrt(var)  # continuity correction
-    p = min(2.0 * float(ndtr(-z)), 1.0)  # the normal upper tail at z
+    p = min(2.0 * _ndtr(-z), 1.0)  # the normal upper tail at z
     return WilcoxonResult(w, p, p < alpha, exact=False)
 
 

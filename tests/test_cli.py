@@ -150,6 +150,29 @@ def test_ablate_writes_reports(config_path, tmp_path):
     assert len(payload["rows"]) == 6
 
 
+@pytest.mark.parametrize(
+    "regime,strategies",
+    [
+        ({"vol": 0.0}, "crp"),
+        ({"vol": 0.0}, "crp,eg"),
+        ({"vol": 0.0}, "crp,single"),
+        ({"drift": 0.0, "vol": 0.0}, "crp,olmar"),
+    ],
+)
+def test_compare_on_flat_market_gives_p_one(regime, strategies, tmp_path, capsys):
+    # the reference crp earns one constant daily return, so its rank-sum test
+    # against itself sees one tied value: its exact p is 1, not an error
+    path = tmp_path / "run.json"
+    regimes = [{**CONFIG["data"]["synth"]["regimes"][0], **regime}]
+    path.write_text(json.dumps({**CONFIG, **with_synth(regimes=regimes)}))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path), "--strategies", strategies, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    p_values = json.loads(read_bytes(out / "comparison.json"))["p_values"]
+    assert p_values["crp"] == 1.0
+    assert set(p_values) == set(strategies.split(",")) and all(0.0 < p <= 1.0 for p in p_values.values())
+
+
 def test_seed_override_flows_into_report(config_path, tmp_path):
     out = tmp_path / "bt"
     main(
@@ -253,6 +276,17 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, change
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err, err
+    # DE's limits are checked at load, also for a tier that never runs DE
+    for solver, name in (
+        ({"budget": 40, "population": 2}, "solver.population"),
+        ({"budget": -1, "population": 8}, "solver.budget"),
+        ({"budget": 7, "population": 8}, "solver.budget"),
+    ):
+        for tier in ("single", "triple"):
+            bad.write_text(json.dumps({**CONFIG, "tier": tier, "solver": solver}))
+            assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2, (tier, solver)
+            err = capsys.readouterr().err
+            assert name in err and "Traceback" not in err, err
     # a ring that never holds a batch or the warmup would never update
     for name in ("batch_size", "warmup"):
         bad.write_text(json.dumps({**CONFIG, "agent": {**CONFIG["agent"], name: 513}}))
@@ -283,6 +317,23 @@ def test_exit_code_3_on_data_errors(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 3
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["synth"], ["train"], ["backtest", "--strategy", "crp"], ["compare", "--strategies", "crp,eg"], ["ablate"]],
+)
+@pytest.mark.parametrize("where", ["at", "beneath"])
+def test_exit_code_3_on_out_that_cannot_be_created(command, where, config_path, tmp_path, capsys):
+    # a regular file stands where the output directory, or one of its parents, should be
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "at" else blocker / "sub"
+    if command == ["synth"]:
+        out = out / "prices.csv"  # synth creates the CSV's parent
+    assert main([command[0], "--config", config_path, *command[1:], "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(blocker) in err and "Traceback" not in err, err
 
 
 def test_exit_code_3_on_non_finite_close(tmp_path, capsys):
@@ -675,10 +726,17 @@ def test_log_level_env_var_respected(config_path, tmp_path, monkeypatch):
     assert main(["synth", "--config", config_path, "--out", str(out)]) == 0
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a second at start-up; the package needs only scipy.special
+def test_cli_run_loads_no_scipy(config_path, tmp_path):
+    # numpy is the only runtime dependency: a compare, rank-sum test included,
+    # run in a fresh interpreter loads no scipy module
     src = str(Path(portagents.__file__).resolve().parents[1])
-    code = "import sys, portagents.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    argv = ["compare", "--config", config_path, "--strategies", "crp,pamr", "--out", str(tmp_path / "cmp")]
+    code = (
+        "import sys; from portagents.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert json.loads(read_bytes(tmp_path / "cmp" / "comparison.json"))["p_values"]["pamr"] < 1.0  # the normal tail ran

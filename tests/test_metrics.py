@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as spspecial
 from scipy import stats as sps
 
 from helpers import random_psd, random_simplex
 from portagents.errors import DegenerateSamples, ZeroVolatility
 from portagents.metrics import (
+    _MAXLOG,
+    _erf,
+    _erfc,
     _mid_ranks,
+    _ndtr,
     annual_return,
     build_report,
     long_term_volatility,
@@ -257,8 +262,52 @@ def test_wilcoxon_large_sample_normal_branch():
 def test_wilcoxon_degenerate_inputs():
     with pytest.raises(DegenerateSamples):
         wilcoxon_rank_sum([], [1.0])
-    with pytest.raises(DegenerateSamples):
-        wilcoxon_rank_sum([2.0, 2.0], [2.0, 2.0])
+    # all tied, at the exact and at the normal branch's sizes: every assignment
+    # ties the observed rank sum, so the exact p is 1
+    for a, b in (([2.0, 2.0], [2.0, 2.0]), (np.zeros(40), np.zeros(41))):
+        result = wilcoxon_rank_sum(a, b)
+        assert result.p_value == 1.0
+        assert result.exact and not result.significant
+
+
+# -- normal tail: bit for bit scipy.special ------------------------------------
+
+
+def branch_edges(edges, ulps: int = 4) -> np.ndarray:
+    """Each edge and its sign flip, with `ulps` float64 neighbours on each side."""
+    points = [0.0, -0.0]
+    for edge in edges:
+        for start in (edge, -edge):
+            points.append(start)
+            for toward in (-np.inf, np.inf):
+                x = start
+                for _ in range(ulps):
+                    x = np.nextafter(x, toward)
+                    points.append(x)
+    return np.array(points)
+
+
+def assert_same_bits(ours, reference, points):
+    got = np.array([ours(float(x)) for x in points])
+    want = reference(points)
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, [(points[i], got[i], want[i]) for i in differ[:5]]
+
+
+def test_ndtr_bit_identical_to_scipy():
+    # ndtr switches from erf to erfc at |a| = 1, erfc from 1 - erf to P/Q at
+    # |a| = sqrt(2), P/Q to R/S at 8 sqrt(2), and underflows past sqrt(2 MAXLOG)
+    edges = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * _MAXLOG)]
+    points = np.concatenate([np.linspace(-40.0, 40.0, 200_001), branch_edges(edges)])
+    assert_same_bits(_ndtr, spspecial.ndtr, points)
+
+
+def test_erf_and_erfc_bit_identical_to_scipy():
+    # their own branches at |x| = 1, 8 and sqrt(MAXLOG), on both signs
+    edges = [1.0, 8.0, np.sqrt(_MAXLOG)]
+    points = np.concatenate([np.linspace(-30.0, 30.0, 60_001), branch_edges(edges)])
+    assert_same_bits(_erf, spspecial.erf, points)
+    assert_same_bits(_erfc, spspecial.erfc, points)
 
 
 # -- performance report ------------------------------------------------------
