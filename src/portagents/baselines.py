@@ -6,8 +6,8 @@ day before and the pass's price relatives so far to the next day's weights,
 holding its weights (or uniform ones) until its history window fills.
 
 References: Cover's universal portfolios line of work for CRP, Helmbold et
-al. for EG, Li & Hoi for OLMAR/PAMR/RMR, Borodin et al. correlation-driven
-selection for CORN.
+al. for EG, Li & Hoi for OLMAR/PAMR/RMR, Li, Hoi & Gopalkrishnan (2011) for
+CORN, whose log-optimal portfolio is Cover's (1991).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientHistory, NonFiniteInput
+from .errors import InsufficientHistory, NonFiniteInput, NonPositiveGrowth
 from .metrics import check_weights, uniform_weights
-from .solver import simplex_repair, simplex_repair_unchecked
+from .solver import simplex_repair
 
 
 def crp_weights(n_assets: int) -> np.ndarray:
@@ -111,25 +111,88 @@ def rmr_update(
     return _reversion_step(weights, x_hat, epsilon)
 
 
-def log_wealth_weights(relatives_set, iterations: int = 500, step: float = 0.1) -> np.ndarray:
-    """Maximise sum log(b.x) over the simplex by projected gradient ascent.
+# The log-optimal solve stops at the first iterate whose certificate
+# log max_i g_i is at most LOG_WEALTH_TOL, or after LOG_WEALTH_MAX_STEPS steps.
+LOG_WEALTH_TOL = 1e-12
+LOG_WEALTH_MAX_STEPS = 50
+# added to the Hessian's diagonal, so that it solves when m < N or when two
+# assets have the same relatives; it slows convergence, it does not move the optimum
+_RIDGE = 1e-9
+_ARMIJO = 1e-4
+_HALVINGS = 0.5 ** np.arange(60)
 
-    The input is validated once; each of the ``iterations`` steps from the
-    uniform portfolio then projects through ``simplex_repair_unchecked``.
+
+def log_wealth_weights(relatives_set) -> np.ndarray:
+    """The log-optimal portfolio of a (m, N) set of price relatives: the
+    point b of the simplex that maximises f(b) = mean_t log(x_t . b).
+
+    With g = mean_t x_t / (x_t . b), g . b = 1 holds at every b, so by
+    Jensen's inequality f* - f(b) <= log max_i g_i. The solve starts at the
+    uniform portfolio and returns the first iterate whose certificate is at
+    most ``LOG_WEALTH_TOL`` (see ``_log_wealth_newton``).
     """
     x = np.asarray(relatives_set, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise InsufficientHistory("need a (m, N) set of relatives")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("relatives contain non-finite values")
+    if not np.all(x > 0):
+        raise NonPositiveGrowth("relatives must be positive")
+    return _log_wealth_newton(x)[0]
+
+
+def _log_wealth_newton(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Active-set Newton ascent of mean log(x . b) over the simplex; returns
+    the last iterate and the number of steps taken to reach it.
+
+    Each step solves the equality-constrained Newton system on the free set
+    (the positive weights, and the zero ones whose g_i exceeds 1), with the
+    negative Hessian H = q^T q / m, q = x / (x . b), plus a ridge. Each row
+    of q is centred first: that leaves d^T H d unchanged for every d that
+    sums to zero, and takes the large all-ones direction, which the
+    constraint removes anyway, out of H. The step length is backtracked
+    from 1 until it passes an Armijo test. Past the ratio test's bound, the
+    weights the step would make negative are set to exactly zero and the
+    rest renormalised, so one step can zero many weights; the bound itself
+    is also tried. The rise of f is summed as log1p of each day's relative
+    change, which resolves it down to the last bits of f. When no step
+    length passes, the current iterate is returned.
+    """
     m, n = x.shape
     b = uniform_weights(n)
-    idx = np.arange(1, n + 1)
-    share = np.empty_like(x)
-    for _ in range(iterations):
-        np.divide(x, (x @ b)[:, None], out=share)
-        b = simplex_repair_unchecked(b + step * (share.sum(axis=0) / m), idx)
-    return b
+    for steps in range(LOG_WEALTH_MAX_STEPS + 1):
+        q = x / (x @ b)[:, None]
+        g = q.sum(axis=0) / m
+        if np.log(g.max()) <= LOG_WEALTH_TOL or steps == LOG_WEALTH_MAX_STEPS:
+            break
+        F = np.flatnonzero((b > 0) | (g > 1.0))
+        k = F.size
+        qf = q[:, F]
+        qf -= qf.mean(axis=1, keepdims=True)
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = qf.T @ qf / m + _RIDGE * np.eye(k)
+        kkt[k, k] = 0.0
+        d = np.linalg.solve(kkt, np.append(g[F], 0.0))[:k]
+        r = qf @ d  # each day's relative change of x . b along d
+        slope = r.sum() / m  # g . d
+        neg = np.flatnonzero(d < 0)
+        ratios = b[F[neg]] / -d[neg]
+        t_max = ratios.min() if neg.size else np.inf
+        for t in np.concatenate([_HALVINGS[_HALVINGS > t_max], min(t_max, 1.0) * _HALVINGS]):
+            blocked = F[neg[ratios <= t]]
+            p = b.copy()
+            p[F] += t * d
+            cut = -p[blocked]  # what zeroing the blocked weights adds back
+            p[blocked] = 0.0
+            # g . (p / p.sum() - b), and f(p / p.sum()) - f(b)
+            rise = (t * slope + (g[blocked] - 1.0) @ cut) / (1.0 + cut.sum())
+            gain = np.log1p(t * r + q[:, blocked] @ cut).sum() / m - np.log1p(cut.sum())
+            if rise > 0 and gain >= _ARMIJO * rise:
+                break
+        else:
+            break
+        b = p / p.sum()
+    return b, steps
 
 
 def corn_weights(relatives_history, window: int = 5, rho: float = 0.1) -> np.ndarray:

@@ -62,6 +62,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    harness.make_out_dir(args.out)
     result = harness.train(cfg)
     paths = harness.save_train_artifacts(result, args.out, cfg)
     print(f"checkpoint: {paths['checkpoint']}")
@@ -118,6 +119,7 @@ def cmd_compare(args) -> int:
     strategies = None
     if args.strategies:
         strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    harness.make_out_dir(args.out)
     report = harness.compare(cfg, strategies=strategies)
     written = harness.emit_report(report, _formats(args), args.out, prefix="comparison")
     for path in written:
@@ -127,6 +129,7 @@ def cmd_compare(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
+    harness.make_out_dir(args.out)
     report = harness.ablate(cfg)
     written = harness.emit_report(report, _formats(args), args.out, prefix="ablation")
     for path in written:

@@ -15,16 +15,20 @@ from .metrics import sigma_alpha_value
 _MU_FACTOR_FLOOR = 0.01
 
 
-def simplex_repair_unchecked(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Core of ``simplex_repair``, without its checks, for callers that
-    validate their input once and then project many times.
+def simplex_repair(v) -> np.ndarray:
+    """Euclidean projection onto the probability simplex (sort + threshold).
 
-    ``x`` is a 1-D float64 vector and ``idx`` is ``np.arange(1, x.size + 1)``.
     Sort descending, ``cumsum - 1``, find the last index where
     ``u - css / idx > 0`` (an argmax on the reversed mask), threshold at
-    ``tau``. Raises ``NonFiniteInput`` when no index qualifies: NaN or inf
-    entries, or entries near 1e16 that swamp the 1.0 in ``css``.
+    ``tau``. Raises ``NonFiniteInput`` for NaN or inf entries, and when no
+    index qualifies: entries near 1e16 swamp the 1.0 in ``css``.
     """
+    x = np.asarray(v, dtype=np.float64)
+    if x.ndim != 1 or x.size < 1:
+        raise DimensionMismatch(f"expected a 1-D vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("cannot project a non-finite vector")
+    idx = np.arange(1, x.size + 1)
     u = x.copy()
     u.sort()
     u = u[::-1]
@@ -35,18 +39,8 @@ def simplex_repair_unchecked(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     cond = u > css / idx
     rho = idx.size - int(cond[::-1].argmax())
     if not cond[rho - 1]:
-        raise NonFiniteInput("cannot project a non-finite or too large vector")
+        raise NonFiniteInput("entries too large to project in float64")
     return np.maximum(x - css[rho - 1] / rho, 0.0)
-
-
-def simplex_repair(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort + threshold)."""
-    x = np.asarray(v, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("cannot project a non-finite vector")
-    return simplex_repair_unchecked(x, np.arange(1, x.size + 1))
 
 
 def simplex_repair_rows(X) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import portagents
+from portagents import harness
 from portagents.cli import main
 from portagents.harness import RunConfig, backtest, observer_from_state
 from portagents.market_data import load_ohlcv
@@ -324,8 +325,11 @@ def test_exit_code_3_on_data_errors(tmp_path):
     [["synth"], ["train"], ["backtest", "--strategy", "crp"], ["compare", "--strategies", "crp,eg"], ["ablate"]],
 )
 @pytest.mark.parametrize("where", ["at", "beneath"])
-def test_exit_code_3_on_out_that_cannot_be_created(command, where, config_path, tmp_path, capsys):
-    # a regular file stands where the output directory, or one of its parents, should be
+def test_exit_code_3_on_out_that_cannot_be_created(command, where, config_path, tmp_path, capsys, monkeypatch):
+    # a regular file stands where the output directory, or one of its parents,
+    # should be; the command says so before it does any of its work
+    for work in ("train", "backtest", "compare", "ablate"):
+        monkeypatch.setattr(harness, work, lambda *a, work=work, **k: pytest.fail(f"{work} ran before --out was made"))
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     out = blocker if where == "at" else blocker / "sub"

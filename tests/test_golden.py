@@ -34,16 +34,16 @@ OPTIONS = {"compare": ["--formats", "json,csv"], "ablate": ["--formats", "json,c
 # (config name, command) -> {report file: sha256}
 GOLDEN = {
     ("pipeline", "compare"): {
-        "comparison.csv": "bdc01e5038e8b6f7d0dd5a5b43b1d6ae1e8db6dd6ff6a5595403854d0cafca64",
-        "comparison.json": "d5c35d5f218f15568f339b1e2f48e41e2acab2a829a830a73f71b348dc45b1ef",
+        "comparison.csv": "ea2be5295266c49c1b1e10e52b8dbb4f1ace6dc7043b0b7cb992312abda5a152",
+        "comparison.json": "02d0e31e54d25ef27926df39a6bb42657436c210a18ee9b0eb8ee8e3760a18d0",
     },
     ("pipeline", "ablate"): {
         "ablation.csv": "37fdc85ca1a0c631b4482e1d8dc00c65826575cf9e0ee6f14c5b41e5798d8486",
         "ablation.json": "bbec32e2d8e3a9fb7094e774e8aa0288d83af3d2d9f270d50a00626f443e0b99",
     },
     ("triple-mlp", "compare"): {
-        "comparison.csv": "45713c6e252205ec3ae54241b45e6514c26150ad3f96bd1438c6636e36c7ddac",
-        "comparison.json": "551bcc5e110f3d0666ab39d0d39eadb904886e2fb21afbd3eafec58817b65183",
+        "comparison.csv": "c5fcbbebf6e41902ec4cebf663173df782babae2c8ed52c68a1429448748eb12",
+        "comparison.json": "3a2f33dde8b51e6802756364b9a9b635c9d822268d59ab51aef7788eff47a320",
     },
     ("pipeline", "train"): {
         "checkpoint.bin": "98d4ca9bc792ef50e82ee32197289c1bc23cfd83cc08cbcdbba2bee93b42dac4",
