@@ -12,7 +12,8 @@ compare / ablate); the library calls are the same.
 import tempfile
 from pathlib import Path
 
-from portagents.harness import RunConfig, backtest, compare, emit_report, train
+from portagents.config import RunConfig
+from portagents.harness import backtest, compare, emit_report, train
 
 config = RunConfig.from_dict(
     {

@@ -111,17 +111,22 @@ def cmd_backtest(args) -> int:
 
 
 def _formats(args) -> list[str]:
-    return [f.strip() for f in args.formats.split(",") if f.strip()]
+    """The ``--formats`` list, checked before any work is done."""
+    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+    if not formats or not set(formats) <= set(harness.REPORT_FORMATS):
+        raise ConfigError(f"--formats {args.formats!r} must list report formats from {harness.REPORT_FORMATS}")
+    return formats
 
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
+    formats = _formats(args)
     strategies = None
     if args.strategies:
         strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     harness.make_out_dir(args.out)
     report = harness.compare(cfg, strategies=strategies)
-    written = harness.emit_report(report, _formats(args), args.out, prefix="comparison")
+    written = harness.emit_report(report, formats, args.out, prefix="comparison")
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -129,9 +134,10 @@ def cmd_compare(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
+    formats = _formats(args)
     harness.make_out_dir(args.out)
     report = harness.ablate(cfg)
-    written = harness.emit_report(report, _formats(args), args.out, prefix="ablation")
+    written = harness.emit_report(report, formats, args.out, prefix="ablation")
     for path in written:
         print(f"wrote {path}")
     return 0

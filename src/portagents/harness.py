@@ -53,6 +53,7 @@ from .solver import RiskControlProblem, propose_control
 log = logging.getLogger("portagents")
 
 PLOT_SERIES_KINDS = ("equity", "risk", "adjustment")
+REPORT_FORMATS = ("json", "csv", "plotdata")
 
 
 def split_indices(n_days: int, splits) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
@@ -502,11 +503,15 @@ def compare(
     """Backtest every strategy over the config's seed list on shared data,
     with rank-sum significance against the reference row."""
     t0 = time.monotonic()
-    if series is None:
-        series = config.load_series()
     strategies = list(strategies if strategies is not None else config.strategies)
     if not strategies:
         raise ConfigError("no strategies to compare")
+    repeated = sorted(name for name, n in Counter(strategies).items() if n > 1)
+    if repeated:
+        raise ConfigError(f"strategies {repeated} are listed more than once")
+    resolved = [resolve_strategy(name, config) for name in strategies]
+    if series is None:
+        series = config.load_series()
     seeds = [config.seed + i for i in range(config.runs)]
     bounds = split_indices(series.n_days, config.splits)
     test_seg = bounds[2]
@@ -514,8 +519,7 @@ def compare(
     rows = []
     pooled: dict[str, np.ndarray] = {}
     curves = {}
-    for name in strategies:
-        kind, cfg, base = resolve_strategy(name, config)
+    for name, (kind, cfg, base) in zip(strategies, resolved):
         reports, returns_pool, eq_list, risk_list, adj_list = [], [], [], [], []
         for s in seeds:
             if kind == "baseline":
@@ -592,15 +596,19 @@ def _dump_json(payload: dict, path):
 
 
 def emit_report(report: ComparisonReport, formats, out_dir, prefix: str = "comparison") -> list[str]:
-    """Serialise a comparison report; formats from {json, csv, plotdata}.
+    """Serialise a comparison report; formats from ``REPORT_FORMATS``, all
+    checked before the first file is written.
 
     JSON output is byte-deterministic for a fixed config and seed. The
     plotdata CSV is long-format (series, day, value) covering the equity,
     risk, and adjustment trajectories of every strategy.
     """
-    out = make_out_dir(out_dir)
     if isinstance(formats, str):
         formats = [formats]
+    for fmt in formats:
+        if fmt not in REPORT_FORMATS:
+            raise ConfigError(f"unknown report format {fmt!r}, expected one of {REPORT_FORMATS}")
+    out = make_out_dir(out_dir)
     written = []
     for fmt in formats:
         if fmt == "json":
@@ -615,7 +623,7 @@ def emit_report(report: ComparisonReport, formats, out_dir, prefix: str = "compa
                     f"{row['sharpe']!r},{row['risk']!r}"
                 )
             _write_text(path, "\n".join(lines) + "\n")
-        elif fmt == "plotdata":
+        else:  # plotdata
             path = out / f"{prefix}_plotdata.csv"
             lines = ["series,day,value"]
             for name in sorted(report.curves):
@@ -624,8 +632,6 @@ def emit_report(report: ComparisonReport, formats, out_dir, prefix: str = "compa
                     for day, value in enumerate(series_curves[kind], start=1):
                         lines.append(f"{name}/{kind},{day},{value!r}")
             _write_text(path, "\n".join(lines) + "\n")
-        else:
-            raise ConfigError(f"unknown report format {fmt!r}")
         written.append(str(path))
     return written
 

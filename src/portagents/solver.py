@@ -16,56 +16,33 @@ _MU_FACTOR_FLOOR = 0.01
 
 
 def simplex_repair(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort + threshold).
+    """Euclidean projection onto the probability simplex (sort + threshold)
+    of a vector (n,), or of each row of a matrix (m, n).
 
-    Sort descending, ``cumsum - 1``, find the last index where
-    ``u - css / idx > 0`` (an argmax on the reversed mask), threshold at
-    ``tau``. Raises ``NonFiniteInput`` for NaN or inf entries, and when no
-    index qualifies: entries near 1e16 swamp the 1.0 in ``css``.
+    Each row ``u`` is sorted descending, ``css = cumsum(u) - 1``, ``rho`` is
+    the last index i (from 1) where ``u[i-1] - css[i-1] / i > 0`` (an argmax
+    on the reversed mask), and the row is thresholded at
+    ``tau = css[rho - 1] / rho``; all rows at once.
+    Raises ``NonFiniteInput`` for NaN or inf entries, and when no index
+    qualifies: entries near 1e16 swamp the 1.0 in ``css``.
     """
     x = np.asarray(v, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if x.ndim not in (1, 2) or x.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a vector (n,) or a matrix (m, n), got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise NonFiniteInput("cannot project a non-finite vector")
-    idx = np.arange(1, x.size + 1)
-    u = x.copy()
-    u.sort()
-    u = u[::-1]
-    css = u.cumsum()
+    rows = x.reshape(-1, x.shape[-1])
+    m, n = rows.shape
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = u.cumsum(axis=1)
     css -= 1.0
-    # u > c exactly when u - c > 0: with gradual underflow the difference of
-    # two distinct doubles never rounds to zero
-    cond = u > css / idx
-    rho = idx.size - int(cond[::-1].argmax())
-    if not cond[rho - 1]:
+    cond = u - css / np.arange(1, n + 1) > 0
+    rho = n - cond[:, ::-1].argmax(axis=1)
+    at_rho = (np.arange(m), rho - 1)
+    if not cond[at_rho].all():
         raise NonFiniteInput("entries too large to project in float64")
-    return np.maximum(x - css[rho - 1] / rho, 0.0)
-
-
-def simplex_repair_rows(X) -> np.ndarray:
-    """Row-wise ``simplex_repair`` of an (m, n) matrix, bit-identical per row.
-
-    Each row takes the same steps as the scalar projection (sort descending,
-    ``cumsum - 1``, the last index where ``u - css / idx > 0``, then ``tau``),
-    done for all rows at once.
-    """
-    x = np.asarray(X, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise DimensionMismatch(f"expected an (m, n) matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("cannot project a non-finite vector")
-    m, n = x.shape
-    u = np.sort(x, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = u - css / idx > 0
-    rho = n - np.argmax(cond[:, ::-1], axis=1)
-    rows = np.arange(m)
-    if not cond[rows, rho - 1].all():  # entries near 1e16 swamp the 1.0 in css
-        raise NonFiniteInput("entries too large to project in float64")
-    tau = css[rows, rho - 1] / rho
-    return np.maximum(x - tau[:, None], 0.0)
+    tau = css[at_rho] / rho
+    return np.maximum(x - tau.reshape(x.shape[:-1] + (1,)), 0.0)
 
 
 def _mutation_indices(rng: np.random.Generator, population: int):
@@ -108,7 +85,7 @@ def differential_evolution(
     mutation indices r1, r2, r3 (distinct, never i) are the first three
     columns of the argsort of a (P, P) uniform key matrix with an infinite
     diagonal, then come the (P, n) crossover mask and the P jrand genes; all
-    trials are projected in one ``simplex_repair_rows`` call and evaluated in
+    trials are projected in one ``simplex_repair`` call and evaluated in
     one ``objective`` call.
     """
     if population < 4:
@@ -120,7 +97,7 @@ def differential_evolution(
     pop = rng.dirichlet(np.ones(n), size=population)
     if init is not None:
         seeds = np.atleast_2d(np.asarray(init, dtype=np.float64))[:population]
-        pop[: len(seeds)] = simplex_repair_rows(seeds)
+        pop[: len(seeds)] = simplex_repair(seeds)
     values = np.asarray(objective(pop), dtype=np.float64)
     evals = population
 
@@ -137,7 +114,7 @@ def differential_evolution(
         cross = rng.random((population, n)) < cr
         cross[rows, rng.integers(n, size=population)] = True  # jrand: keep at least one mutant gene
         mutant = pop[r1] + f * (pop[r2] - pop[r3])
-        trials = simplex_repair_rows(np.where(cross, mutant, pop))
+        trials = simplex_repair(np.where(cross, mutant, pop))
         trial_values = np.asarray(objective(trials), dtype=np.float64)
         evals += population
         improved = trial_values <= values

@@ -19,7 +19,8 @@ from portagents.baselines import (
     pamr_update,
     rmr_update,
 )
-from portagents.harness import CallTrace, RunConfig, compare, train
+from portagents.config import RunConfig
+from portagents.harness import CallTrace, compare, train
 from portagents.market_data import rolling_covariance
 from portagents.metrics import (
     check_weights,

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import portagents
 from portagents import harness
 from portagents.cli import main
-from portagents.harness import RunConfig, backtest, observer_from_state
+from portagents.config import RunConfig
+from portagents.harness import backtest, observer_from_state
 from portagents.market_data import load_ohlcv
 from portagents.rl import load_agent
 
@@ -338,6 +339,36 @@ def test_exit_code_3_on_out_that_cannot_be_created(command, where, config_path, 
     assert main([command[0], "--config", config_path, *command[1:], "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert str(blocker) in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", [["compare", "--strategies", "crp,eg"], ["ablate"]])
+@pytest.mark.parametrize("formats", ["json,cvs", ","])
+def test_exit_code_2_on_bad_formats_before_any_work(command, formats, config_path, tmp_path, capsys, monkeypatch):
+    # an unknown format, or none at all, is a config error found before the
+    # compare runs, so no report is written
+    for work in ("compare", "ablate"):
+        monkeypatch.setattr(harness, work, lambda *a, work=work, **k: pytest.fail(f"{work} ran before --formats was checked"))
+    out = tmp_path / "out"
+    assert main([command[0], "--config", config_path, *command[1:], "--formats", formats, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--formats" in err and "Traceback" not in err, err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("strategies, name", [("triple,crpp", "crpp"), ("crp,crp,eg", "crp")])
+def test_compare_checks_strategy_names_before_any_work(strategies, name, config_path, tmp_path, capsys, monkeypatch):
+    # an unknown or repeated name is a config error found before any strategy
+    # is trained or backtested
+    calls = []
+    for work in ("train", "backtest"):
+        original = getattr(harness, work)
+        monkeypatch.setattr(harness, work, lambda *a, original=original, **k: calls.append(1) or original(*a, **k))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", config_path, "--strategies", strategies, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err, err
+    assert calls == []
+    assert list(out.iterdir()) == []
 
 
 def test_exit_code_3_on_non_finite_close(tmp_path, capsys):

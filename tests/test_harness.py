@@ -9,11 +9,11 @@ import pytest
 from helpers import relatives_window
 from portagents import baselines
 from portagents.baselines import corn_weights, crp_weights, eg_update, olmar_update, pamr_update, rmr_update
+from portagents.config import RunConfig
 from portagents.errors import ConfigError, DataSplitTooSmall
 from portagents.harness import (
     ABLATION_ROWS,
     CallTrace,
-    RunConfig,
     _env_for_segment,
     ablate,
     backtest,
@@ -529,6 +529,13 @@ def test_emit_report_formats(tmp_path):
     days = report.rows[0]["t_days"]
     assert len(plot_lines) == 1 + 2 * days * 3  # strategies x days x kinds
     assert plot_lines[1].startswith("crp/equity,1,")
+
+
+def test_emit_report_checks_every_format_before_writing(tmp_path):
+    report = compare(small_config(runs=1), strategies=("crp",))
+    with pytest.raises(ConfigError, match="cvs"):
+        emit_report(report, ["json", "cvs"], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_emit_report_byte_deterministic(tmp_path):

@@ -1,12 +1,16 @@
-"""Every name a package module imports is used in that module, and every
-module the package imports is in the standard library or numpy.
-
-``__init__.py`` counts a name as used when ``__all__`` lists it.
+"""Every name a package module imports is used in that module, every
+module the package imports is in the standard library or numpy, and the
+package root re-exports nothing, so importing one module loads only what
+that module imports.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import portagents
 
@@ -24,11 +28,6 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
@@ -77,3 +76,22 @@ def test_package_imports_only_stdlib_and_numpy():
         if (foreign := foreign_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("nn", ["errors", "nn"]),
+        ("solver", ["errors", "metrics", "solver"]),
+    ],
+)
+def test_module_import_loads_only_its_dependencies(module, loaded):
+    code = f"import sys, portagents.{module}; print(sorted(m for m in sys.modules if m.startswith('portagents.')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == repr([f"portagents.{name}" for name in loaded])
