@@ -142,16 +142,19 @@ def _run_pass(
     policy gets the weights it proposed the day before (uniform on the first
     day) and the pass's price relatives from its first day through today.
 
-    With a ``buffer`` every step is stored; with a ``learner`` the agent also
-    updates from the buffer after every step, and a triple tier's observer
-    from the pass's price relatives at its end (training). Risk is tracked on
-    every pass that does not learn, and on every tier above ``single``.
+    With a ``buffer`` the pass opens with the start tuple and stores each
+    step's transition after that step's update; with a ``learner`` the agent
+    also updates from the buffer after every step, and a triple tier's
+    observer from the pass's price relatives at its end (training). Risk is
+    tracked on every pass that does not learn, and on every tier above
+    ``single``. A ``trace`` records each stage as it runs under its step
+    index; the start tuple and the observer update record under step -1.
     """
     need_risk = tier != "single" or learner is None
     env = _env_for_segment(series, config, seg, need_risk=need_risk)
     k = config.metrics.cov_window
     reward_cfg = config.reward
-    n = env.n_assets
+    record = trace.record if trace is not None else lambda *args, **payload: None
 
     # row d-1 is day d's relatives; the observer reads them from the first
     # observable day (env.window) through today, the policy from the pass's
@@ -159,53 +162,34 @@ def _run_pass(
     relatives = series.relatives()
 
     obs = env.reset()
-    o_prev = obs
-    a_rl_prev = uniform_weights(n)
-    a_final_prev = uniform_weights(n)
-    r_prev = 0.0
+    a_rl = uniform_weights(env.n_assets)  # the policy's weights of the day before
     if observer is not None:
         observer.reset()
+    if buffer is not None:
+        # the start tuple (o_0, uniform, uniform, o_0, 0): a zero-reward self-transition no trading day made
+        buffer.push(obs.vector, a_rl, a_rl, obs.vector, 0.0)
+        record("store", episode, -1, obs_day=obs.day, next_obs_day=obs.day, a_final=a_rl, a_rl=a_rl, reward=0.0)
 
     equity = [env.c0]
     growths, jsds, risks, adjustments = [], [], [], []
     done = False
     step_i = 0
-    while True:
-        # store the tuple the last step completed; the pass ends with one more
-        o_t = obs
-        if buffer is not None:
-            buffer.push(o_prev.vector, a_final_prev, a_rl_prev, o_t.vector, r_prev)
-            if trace:
-                trace.record(
-                    "store",
-                    episode,
-                    step_i,
-                    o_prev_day=o_prev.day,
-                    o_day=o_t.day,
-                    a_final=a_final_prev.copy(),
-                    a_rl=a_rl_prev.copy(),
-                    reward=r_prev,
-                )
-        if done:
-            break
-
+    while not done:
         if tier == "triple":
-            sig = observer.observe(relatives[config.env.window - 1 : o_t.day])
-            if trace:
-                trace.record("observer", episode, step_i, sigma_s=sig.sigma_s)
+            sig = observer.observe(relatives[config.env.window - 1 : obs.day])
+            record("observer", episode, step_i, sigma_s=sig.sigma_s)
             env.set_market_features(sig.v_m)
         elif tier == "dual":
             sig = neutral_signal(config.observer.base_risk)
         else:
             sig = None
 
-        a_rl = policy(o_t, a_rl_prev, relatives[env.start_day - 1 : o_t.day])
-        if trace:
-            trace.record("rl", episode, step_i, a_rl=a_rl.copy())
+        a_rl = policy(obs, a_rl, relatives[env.start_day - 1 : obs.day])
+        record("rl", episode, step_i, a_rl=a_rl)
 
         cov = None
         if need_risk:
-            cov = rolling_covariance(series, t=o_t.day, k=k)
+            cov = rolling_covariance(series, t=obs.day, k=k)
         if tier in ("dual", "triple"):
             problem = RiskControlProblem(
                 a_rl=a_rl,
@@ -226,33 +210,41 @@ def _run_pass(
             a_final = result.a_final
             jsd = jensen_shannon(a_rl, a_final)
             adjustment = float(np.abs(result.a_ctrl).sum())
-            if trace:
-                trace.record("solver", episode, step_i, evaluations=result.evaluations)
+            risks.append(result.achieved_risk)
+            record("solver", episode, step_i, evaluations=result.evaluations)
         else:
             # the policy's weights trade as they are: no divergence, no control
             a_final, jsd, adjustment = a_rl, 0.0, 0.0
-        if trace:
-            trace.record("compose", episode, step_i, a_final=a_final.copy())
+            if cov is not None:
+                risks.append(sigma_alpha_value(a_final, cov))
+        record("compose", episode, step_i, a_final=a_final)
 
-        obs, growth, done = env.step(a_final)
-        if trace:
-            trace.record("execute", episode, step_i, growth=growth)
+        next_obs, growth, done = env.step(a_final)
+        record("execute", episode, step_i, growth=growth)
 
         equity.append(env.state.capital)
         growths.append(growth)
         jsds.append(jsd)
         adjustments.append(adjustment)
-        if cov is not None:
-            risks.append(sigma_alpha_value(a_final, cov))
 
         if learner is not None and len(buffer) >= max(config.agent.warmup, config.agent.batch_size):
             learner.update(buffer)
-            if trace:
-                trace.record("rl_update", episode, step_i)
+            record("rl_update", episode, step_i)
 
         if buffer is not None:
-            r_prev = per_step_reward(growth, a_rl, a_final, reward_cfg)
-        o_prev, a_rl_prev, a_final_prev = o_t, a_rl, a_final
+            reward = per_step_reward(growth, a_rl, a_final, reward_cfg)
+            buffer.push(obs.vector, a_final, a_rl, next_obs.vector, reward)
+            record(
+                "store",
+                episode,
+                step_i,
+                obs_day=obs.day,
+                next_obs_day=next_obs.day,
+                a_final=a_final,
+                a_rl=a_rl,
+                reward=reward,
+            )
+        obs = next_obs
         step_i += 1
 
     if learner is not None and tier == "triple":
@@ -261,8 +253,7 @@ def _run_pass(
             relatives[env.start_day - 1 : env.end_day],
             realized_risk=np.asarray(risks) if risks else None,
         )
-        if trace:
-            trace.record("observer_update", episode, -1)
+        record("observer_update", episode, -1)
 
     return PassResult(
         equity=np.asarray(equity),

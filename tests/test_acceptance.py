@@ -404,10 +404,12 @@ def test_07_pipeline_conformance(monkeypatch):
     series = cfg.load_series()
     n_steps = trace.counters["rl"]
 
+    # each step runs the stages in order, updates once the buffer holds a
+    # batch, and stores its transition last
+    head = list(PIPELINE_STAGES)
     order_ok = n_steps > 0
     for t in range(n_steps):
-        stages = [s for s in trace.stages_for(1, t) if s in PIPELINE_STAGES]
-        order_ok &= stages == list(PIPELINE_STAGES)
+        order_ok &= trace.stages_for(1, t) in (head + ["store"], head + ["rl_update", "store"])
 
     def payload(stage, step):
         for e in trace.events:
@@ -420,33 +422,39 @@ def test_07_pipeline_conformance(monkeypatch):
     def market_window(day):
         return build_observation(series, day, window).vector[:width]
 
-    # replay memory: stored rows must equal the live pipeline values
+    # replay memory: row 0 is the start tuple, row t+1 step t's transition,
+    # each equal to the live pipeline values
     buf = result.buffer
     store_events = [e for e in trace.events if e[0] == "store" and e[1] == 1]
-    replay_ok = len(buf) == n_steps + 1 == len(store_events)
+    steps = [step for _, _, step, _ in store_events]
+    replay_ok = len(buf) == n_steps + 1 == len(store_events) and steps == list(range(-1, n_steps))
+    start = store_events[0][3]
+    replay_ok &= start["obs_day"] == start["next_obs_day"] and start["reward"] == 0.0
+    replay_ok &= np.array_equal(start["a_rl"], np.full(series.n_assets, 1.0 / series.n_assets))
+    replay_ok &= np.array_equal(start["a_final"], start["a_rl"])
     for i, (_, _, step, pay) in enumerate(store_events):
-        replay_ok &= np.array_equal(buf.obs[i, :width], market_window(pay["o_prev_day"]))
-        replay_ok &= np.array_equal(buf.next_obs[i, :width], market_window(pay["o_day"]))
+        replay_ok &= np.array_equal(buf.obs[i, :width], market_window(pay["obs_day"]))
+        replay_ok &= np.array_equal(buf.next_obs[i, :width], market_window(pay["next_obs_day"]))
         replay_ok &= np.array_equal(buf.a_rl[i], pay["a_rl"])
         replay_ok &= np.array_equal(buf.a_final[i], pay["a_final"])
         replay_ok &= buf.reward[i, 0] == pay["reward"]
-        if step >= 1:
+        if step >= 0:
+            replay_ok &= pay["obs_day"] == store_events[i - 1][3]["next_obs_day"]
+            replay_ok &= pay["next_obs_day"] == pay["obs_day"] + 1
             expected = per_step_reward(
-                payload("execute", step - 1)["growth"],
-                payload("rl", step - 1)["a_rl"],
-                payload("compose", step - 1)["a_final"],
+                payload("execute", step)["growth"],
+                payload("rl", step)["a_rl"],
+                payload("compose", step)["a_final"],
                 cfg.reward,
             )
             replay_ok &= abs(buf.reward[i, 0] - expected) <= 1e-12
-            replay_ok &= np.array_equal(buf.a_rl[i], payload("rl", step - 1)["a_rl"])
-            replay_ok &= np.array_equal(
-                buf.a_final[i], payload("compose", step - 1)["a_final"]
-            )
+            replay_ok &= np.array_equal(buf.a_rl[i], payload("rl", step)["a_rl"])
+            replay_ok &= np.array_equal(buf.a_final[i], payload("compose", step)["a_final"])
 
     # observer memory: the training pass's update reads the relatives of the
     # stored days, in order
     relatives = series.relatives()
-    stored = np.array([relatives[pay["o_day"] - 1] for _, _, _, pay in store_events])
+    stored = np.array([relatives[pay["next_obs_day"] - 1] for _, _, _, pay in store_events])
     observer_ok = len(learnt_from) == 1 and np.array_equal(learnt_from[0], stored)
 
     single_cfg = RunConfig.from_dict({**PIPELINE_CONFIG, "tier": "single"})

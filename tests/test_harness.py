@@ -10,6 +10,7 @@ from helpers import relatives_window
 from portagents import baselines
 from portagents.baselines import corn_weights, crp_weights, eg_update, olmar_update, pamr_update, rmr_update
 from portagents.config import RunConfig
+from portagents.env import build_observation
 from portagents.errors import ConfigError, DataSplitTooSmall
 from portagents.harness import (
     ABLATION_ROWS,
@@ -165,20 +166,28 @@ def test_triple_tier_step_ordering():
     cfg = small_config(tier="triple")
     trace = CallTrace()
     train(cfg, trace=trace)
-    head = ["store", "observer", "rl", "solver", "compose", "execute"]
-    assert trace.stages_for(1, 0) == head  # buffer below batch size: no update yet
-    assert trace.stages_for(1, 20) == head + ["rl_update"]
+    assert trace.events[0][:3] == ("store", 1, -1)  # the start tuple opens the pass
+    head = ["observer", "rl", "solver", "compose", "execute"]
+    assert trace.stages_for(1, 0) == head + ["store"]  # buffer below batch size: no update yet
+    assert trace.stages_for(1, 20) == head + ["rl_update", "store"]
     n_steps = trace.counters["rl"]
-    assert trace.stages_for(1, n_steps) == ["store"]  # terminal flush
+    assert trace.stages_for(1, n_steps - 1) == head + ["rl_update", "store"]  # the last step is stored
+    assert trace.stages_for(1, n_steps) == []
+    assert trace.stages_for(1, -1) == ["store", "observer_update"]
     assert trace.counters["store"] == n_steps + 1
     assert trace.counters["observer_update"] == 1
 
 
 def test_stored_tuple_matches_pipeline_events():
-    # the transition stored at t+1 must carry step t's actions, reward, days
+    # buffer row t+1 holds step t's live actions, observation days and reward;
+    # row 0 holds the start tuple
     cfg = small_config(tier="triple", max_episode=1)
     trace = CallTrace()
-    train(cfg, trace=trace)
+    buf = train(cfg, trace=trace).buffer
+    series = cfg.load_series()
+    train_seg = split_indices(series.n_days, cfg.splits)[0]
+    start = _env_for_segment(series, cfg, train_seg, need_risk=True).start_day
+    width = cfg.env.window * series.n_assets  # the relatives part of an observation
 
     def payload(stage, step):
         for e in trace.events:
@@ -186,28 +195,37 @@ def test_stored_tuple_matches_pipeline_events():
                 return e[3]
         raise AssertionError(f"missing {stage}@{step}")
 
-    for t in range(0, 12):
-        store_next = payload("store", t + 1)
-        np.testing.assert_array_equal(store_next["a_rl"], payload("rl", t)["a_rl"])
-        np.testing.assert_array_equal(
-            store_next["a_final"], payload("compose", t)["a_final"]
-        )
-        expected_reward = per_step_reward(
-            payload("execute", t)["growth"],
-            payload("rl", t)["a_rl"],
-            payload("compose", t)["a_final"],
-            cfg.reward,
-        )
-        assert store_next["reward"] == pytest.approx(expected_reward, rel=1e-12)
-        assert store_next["o_prev_day"] == payload("store", t)["o_day"]
-        assert store_next["o_day"] == store_next["o_prev_day"] + 1
+    def market_window(day):
+        return build_observation(series, day, cfg.env.window).vector[:width]
 
-    boot = payload("store", 0)  # bootstrap tuple: uniform actions, zero reward
+    n_steps = trace.counters["rl"]
+    assert len(buf) == n_steps + 1
+    for t in range(n_steps):
+        a_rl, a_final = payload("rl", t)["a_rl"], payload("compose", t)["a_final"]
+        np.testing.assert_array_equal(buf.a_rl[t + 1], a_rl)
+        np.testing.assert_array_equal(buf.a_final[t + 1], a_final)
+        expected_reward = per_step_reward(payload("execute", t)["growth"], a_rl, a_final, cfg.reward)
+        assert buf.reward[t + 1, 0] == expected_reward
+        np.testing.assert_array_equal(buf.obs[t + 1, :width], market_window(start + t))
+        np.testing.assert_array_equal(buf.next_obs[t + 1, :width], market_window(start + t + 1))
+
+    # the start tuple: uniform actions, zero reward, the first observation twice
     n = 2
-    np.testing.assert_array_equal(boot["a_rl"], np.full(n, 0.5))
-    np.testing.assert_array_equal(boot["a_final"], np.full(n, 0.5))
-    assert boot["reward"] == 0.0
-    assert boot["o_prev_day"] == boot["o_day"]
+    np.testing.assert_array_equal(buf.a_rl[0], np.full(n, 0.5))
+    np.testing.assert_array_equal(buf.a_final[0], np.full(n, 0.5))
+    assert buf.reward[0, 0] == 0.0
+    np.testing.assert_array_equal(buf.obs[0], buf.next_obs[0])
+    np.testing.assert_array_equal(buf.obs[0, :width], market_window(start))
+
+
+def test_trace_does_not_change_a_run():
+    cfg = small_config(tier="triple", max_episode=2)
+    traced = train(cfg, trace=CallTrace())
+    plain = train(cfg)
+    for column in ("obs", "a_final", "a_rl", "next_obs", "reward"):
+        assert getattr(traced.buffer, column).tobytes() == getattr(plain.buffer, column).tobytes()
+    assert traced.agent.actor.flat.tobytes() == plain.agent.actor.flat.tobytes()
+    assert traced.curves == plain.curves
 
 
 def test_train_is_bit_deterministic(tmp_path):
