@@ -74,12 +74,10 @@ def cmd_train(args) -> int:
 def cmd_backtest(args) -> int:
     cfg = _load_config(args)
     series = cfg.load_series()
-    strategy = args.strategy
+    strategy = args.strategy or cfg.tier
     out = harness.make_out_dir(args.out)
 
-    kind = None
-    if strategy is not None:
-        kind, cfg, name = harness.resolve_strategy(strategy, cfg)
+    kind, cfg, name = harness.resolve_strategy(strategy, cfg)
     if kind == "baseline":
         result = harness.backtest(baselines.make_strategy(name), series, cfg)
     else:
@@ -93,18 +91,20 @@ def cmd_backtest(args) -> int:
                 raise ConfigError(f"checkpoint {args.checkpoint} holds a {observer.config.kind} observer, "
                                   f"the run config's observer.kind is {cfg.observer.kind}")
         else:
+            # a short test split fails before any training
+            test_seg = harness.split_indices(series.n_days, cfg.splits)[2]
+            harness._env_for_segment(series, cfg, test_seg, need_risk=True)
             trained = harness.train(cfg, series=series)
             agent, observer = trained.agent, trained.observer
         result = harness.backtest(agent, series, cfg, observer=observer, tier=cfg.tier)
-    label = strategy or cfg.tier
 
     payload = result.to_json_dict()
-    payload["strategy"] = label
+    payload["strategy"] = strategy
     path = out / "backtest_report.json"
     harness._dump_json(payload, path)
     print(f"report: {path}")
     print(
-        f"{label}: ar={payload['ar']:.6f} mdd={payload['mdd']:.6f} "
+        f"{strategy}: ar={payload['ar']:.6f} mdd={payload['mdd']:.6f} "
         f"sharpe={payload['sharpe']:.6f} risk={payload['risk']:.6f}"
     )
     return 0

@@ -2,7 +2,8 @@
 
 Orders placed at the day-t close earn the day t -> t+1 price relatives.
 Observations stack a lookback window of per-asset relatives, the current
-(drifted) holdings, and the latest market-vector features.
+(drifted) holdings, and the market-vector features handed to the step that
+made them (zeros after a reset).
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ class TradingEnv:
                 f"got [{self.start_day}, {self.end_day}]"
             )
         self.state: EnvState | None = None
-        self._vm = np.zeros(N_MARKET_FEATURES)
 
     @property
     def n_assets(self) -> int:
@@ -123,14 +123,7 @@ class TradingEnv:
     def n_steps(self) -> int:
         return self.end_day - self.start_day
 
-    def set_market_features(self, v_m):
-        """Latest observer output; appears in observations from now on."""
-        vm = np.asarray(v_m, dtype=np.float64)
-        if vm.shape != (N_MARKET_FEATURES,):
-            raise ValueError(f"market features must have shape ({N_MARKET_FEATURES},)")
-        self._vm = vm.copy()
-
-    def observe(self) -> Observation:
+    def observe(self, market_features=None) -> Observation:
         if self.state is None:
             raise EpisodeFinished("reset the environment first")
         return build_observation(
@@ -138,7 +131,7 @@ class TradingEnv:
             self.state.day,
             self.window,
             holdings=self.state.holdings,
-            market_features=self._vm,
+            market_features=market_features,
         )
 
     def reset(self) -> Observation:
@@ -149,15 +142,17 @@ class TradingEnv:
             holdings=uniform_weights(self.n_assets),
             done=False,
         )
-        self._vm = np.zeros(N_MARKET_FEATURES)
         return self.observe()
 
-    def step(self, action) -> tuple[Observation, float, bool]:
+    def step(self, action, market_features=None) -> tuple[Observation, float, bool]:
         """Execute ``action`` at the current close; returns
-        ``(next_observation, growth, done)`` with growth = C_new / C_old."""
+        ``(next_observation, growth, done)`` with growth = C_new / C_old. The
+        next observation carries ``market_features`` (zeros when None)."""
         if self.state is None or self.state.done:
             raise EpisodeFinished("episode is over; call reset()")
         a = check_weights(action).copy()
+        if market_features is not None and np.shape(market_features) != (N_MARKET_FEATURES,):
+            raise ValueError(f"market features must have shape ({N_MARKET_FEATURES},)")
         s = self.state
         turnover = 0.5 * float(np.abs(a - s.holdings).sum())
         cost = self.c_tx * turnover
@@ -167,4 +162,4 @@ class TradingEnv:
         s.holdings = drifted_holdings(a, relatives)
         s.day += 1
         s.done = s.day >= self.end_day
-        return self.observe(), growth, s.done
+        return self.observe(market_features), growth, s.done

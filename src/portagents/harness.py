@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .config import RunConfig, from_json
+from .config import TIERS, RunConfig, from_json
 from .env import TradingEnv, observation_dim
 from .errors import ConfigError, DataSplitTooSmall, IoFailure
 from .market_data import OhlcvSeries, rolling_covariance
@@ -163,6 +163,7 @@ def _run_pass(
 
     obs = env.reset()
     a_rl = uniform_weights(env.n_assets)  # the policy's weights of the day before
+    neutral = neutral_signal(config.observer.base_risk)  # every tier's signal but triple's
     if observer is not None:
         observer.reset()
     if buffer is not None:
@@ -175,14 +176,10 @@ def _run_pass(
     done = False
     step_i = 0
     while not done:
+        sig = neutral
         if tier == "triple":
             sig = observer.observe(relatives[config.env.window - 1 : obs.day])
             record("observer", episode, step_i, sigma_s=sig.sigma_s)
-            env.set_market_features(sig.v_m)
-        elif tier == "dual":
-            sig = neutral_signal(config.observer.base_risk)
-        else:
-            sig = None
 
         a_rl = policy(obs, a_rl, relatives[env.start_day - 1 : obs.day])
         record("rl", episode, step_i, a_rl=a_rl)
@@ -219,7 +216,8 @@ def _run_pass(
                 risks.append(sigma_alpha_value(a_final, cov))
         record("compose", episode, step_i, a_final=a_final)
 
-        next_obs, growth, done = env.step(a_final)
+        # today's v_m goes into tomorrow's observation: the policy reads it one step late
+        next_obs, growth, done = env.step(a_final, sig.v_m)
         record("execute", episode, step_i, growth=growth)
 
         equity.append(env.state.capital)
@@ -298,8 +296,11 @@ def train(
     if series is None:
         series = config.load_series()
     train_seg, val_seg, _ = split_indices(series.n_days, config.splits)
-    if train_seg[1] - train_seg[0] < config.env.window + 3:
-        raise DataSplitTooSmall(f"train segment {train_seg} too short")
+    has_val = val_seg[1] - val_seg[0] > 0
+    # a segment too short to step through fails here, before any training
+    _env_for_segment(series, config, train_seg, need_risk=config.tier != "single")
+    if has_val:
+        _env_for_segment(series, config, val_seg, need_risk=True)
 
     ss = np.random.SeedSequence(seed)
     agent_seed, buffer_seed, solver_seed, observer_seed = [
@@ -315,7 +316,6 @@ def train(
         else None
     )
 
-    has_val = val_seg[1] - val_seg[0] > 0
     curves = []
     best_j = -np.inf
     best_agent = agent.snapshot()
@@ -450,12 +450,8 @@ def resolve_strategy(name: str, config: RunConfig) -> tuple[str, RunConfig, str]
         cfg = replace(cfg, reward=RewardConfig(cfg.reward.lambda1, 0.0))
     if base in baselines.REGISTRY:
         return "baseline", cfg, base
-    if base == "single":
-        return "single", replace(cfg, tier="single"), base
-    if base == "dual":
-        return "dual", replace(cfg, tier="dual"), base
-    if base == "triple":
-        return "triple", replace(cfg, tier="triple"), base
+    if base in TIERS:
+        return base, replace(cfg, tier=base), base
     if base.startswith("triple-"):
         kind = base[len("triple-") :]
         obs_cfg = replace(cfg.observer, kind=kind)
@@ -506,6 +502,7 @@ def compare(
     seeds = [config.seed + i for i in range(config.runs)]
     bounds = split_indices(series.n_days, config.splits)
     test_seg = bounds[2]
+    _env_for_segment(series, config, test_seg, need_risk=True)  # a short test split fails before any training
 
     rows = []
     pooled: dict[str, np.ndarray] = {}

@@ -343,16 +343,15 @@ def synth_generate(
     for i, ((drift, vol, chol), regime) in enumerate(zip(params, regimes)):
         length = int(regime.length)
         # the first regime loses its first day to the s0 anchor
-        steps = length - 1 if day == 1 else length
-        steps = min(steps, total - day)
-        if steps <= 0:
+        steps = length - 1 if i == 0 else length
+        if steps == 0:
             continue
         z = rng.standard_normal((steps, n_assets)) @ chol.T
         with np.errstate(over="ignore", invalid="ignore"):
             factors = (1.0 + drift) * np.exp(vol * z - 0.5 * vol * vol)
-            for s in range(steps):
-                close[day] = close[day - 1] * factors[s]
-                day += 1
+            # seeded with the previous close, each row is the row before it times its factor
+            close[day : day + steps] = np.cumprod(np.vstack([close[day - 1], factors]), axis=0)[1:]
+        day += steps
         finite = np.isfinite(close[day - steps : day]).all(axis=1)
         if not finite.all():
             first = day - steps + int(np.argmin(finite))

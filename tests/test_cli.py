@@ -18,7 +18,8 @@ from portagents.cli import main
 from portagents.config import RunConfig
 from portagents.harness import backtest, observer_from_state
 from portagents.market_data import load_ohlcv
-from portagents.rl import load_agent
+from portagents.rl import Td3Agent, load_agent
+from test_acceptance import PIPELINE_CONFIG
 
 CONFIG = {
     "data": {
@@ -775,3 +776,44 @@ def test_cli_run_loads_no_scipy(config_path, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "0 []"
     assert json.loads(read_bytes(tmp_path / "cmp" / "comparison.json"))["p_values"]["pamr"] < 1.0  # the normal tail ran
+
+
+@pytest.mark.parametrize(
+    "command, splits",
+    [
+        (["compare", "--strategies", "crp,triple"], [0.79, 0.01, 0.2]),  # short validation split
+        (["compare", "--strategies", "triple,crp"], [0.5, 0.49, 0.01]),  # short test split
+        (["backtest"], [0.5, 0.49, 0.01]),
+        (["train"], [0.79, 0.01, 0.2]),
+    ],
+)
+def test_short_split_fails_before_any_training(command, splits, tmp_path, capsys, monkeypatch):
+    # a validation or test split too short to step through is a config error
+    # found before the first TD3 update, and no report is written
+    updates = []
+    update = Td3Agent.update
+    monkeypatch.setattr(Td3Agent, "update", lambda self, *a, **k: updates.append(1) or update(self, *a, **k))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**PIPELINE_CONFIG, "splits": splits}))
+    out = tmp_path / "out"
+    assert main([command[0], "--config", str(config), *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "leaves fewer than 2 steps" in err and "Traceback" not in err, err
+    assert updates == []
+    assert list(out.iterdir()) == []
+
+
+def test_module_entry_point(config_path, tmp_path):
+    # `python -m portagents` runs the CLI and returns its exit code
+    env = dict(os.environ, PYTHONPATH=str(Path(portagents.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "portagents", *argv], env=env, capture_output=True, text=True)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and "compare" in shown.stdout, shown.stderr
+    out = tmp_path / "cmp"
+    refused = run("compare", "--config", config_path, "--formats", "cvs", "--out", str(out))
+    assert refused.returncode == 2
+    assert "--formats" in refused.stderr and "Traceback" not in refused.stderr, refused.stderr
+    assert not out.exists()

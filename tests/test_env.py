@@ -138,22 +138,24 @@ def test_invalid_actions_rejected():
 
 
 def test_market_features_flow_into_observation():
-    env = TradingEnv(two_asset_series(), window=2)
-    env.reset()
-    env.set_market_features([1.0, 0.02, -0.5])
-    np.testing.assert_allclose(env.observe().vector[-3:], [1.0, 0.02, -0.5])
+    # the features handed to a step appear in the observation it returns;
+    # a step without features, and a reset, give zeros
+    env = TradingEnv(two_asset_series(a_growth=1.01, b_growth=0.99), window=2)
+    np.testing.assert_array_equal(env.reset().vector[-3:], np.zeros(3))
+    obs, _, _ = env.step(np.array([0.5, 0.5]), np.array([1.0, 0.02, -0.5]))
+    np.testing.assert_array_equal(obs.vector[-3:], [1.0, 0.02, -0.5])
     obs, _, _ = env.step(np.array([0.5, 0.5]))
-    np.testing.assert_allclose(obs.vector[-3:], [1.0, 0.02, -0.5])
-    with pytest.raises(ValueError):
-        env.set_market_features([1.0, 2.0])
-
-
-def test_reset_clears_market_features():
-    env = TradingEnv(two_asset_series(), window=2)
-    env.reset()
-    env.set_market_features([1.0, 1.0, 1.0])
-    obs = env.reset()
     np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
+    env.step(np.array([0.5, 0.5]), [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(env.reset().vector[-3:], np.zeros(3))
+    # a wrong shape is refused before the step changes any state
+    env.step(np.array([0.9, 0.1]))
+    day, capital, holdings, done = env.state.day, env.state.capital, env.state.holdings.copy(), env.state.done
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], np.zeros(4)):
+        with pytest.raises(ValueError):
+            env.step(np.array([0.2, 0.8]), bad)
+        assert (env.state.day, env.state.capital, env.state.done) == (day, capital, done)
+        np.testing.assert_array_equal(env.state.holdings, holdings)
 
 
 def test_constructor_bounds():

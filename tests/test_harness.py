@@ -218,6 +218,28 @@ def test_stored_tuple_matches_pipeline_events():
     np.testing.assert_array_equal(buf.obs[0, :width], market_window(start))
 
 
+def test_policy_reads_the_market_vector_one_step_late(monkeypatch):
+    # step t's v_m goes into the observation of step t + 1: buffer row t + 1
+    # holds step t - 1's v_m in obs (zeros at t = 0) and step t's in next_obs
+    seen = []
+    observe = DcObserver.observe
+
+    def recording(self, relatives):
+        sig = observe(self, relatives)
+        seen.append(sig.v_m.copy())
+        return sig
+
+    monkeypatch.setattr(DcObserver, "observe", recording)
+    buf = train(RunConfig.from_dict(PIPELINE_CONFIG)).buffer
+    n_steps = len(buf) - 1
+    v_m = seen[:n_steps]  # the training pass's steps; the validation pass follows
+    assert any(not np.array_equal(a, b) for a, b in zip(v_m, v_m[1:]))  # the vector moves
+    k = len(v_m[0])
+    for t in range(n_steps):
+        np.testing.assert_array_equal(buf.next_obs[t + 1, -k:], v_m[t])
+        np.testing.assert_array_equal(buf.obs[t + 1, -k:], v_m[t - 1] if t else np.zeros(k))
+
+
 def test_trace_does_not_change_a_run():
     cfg = small_config(tier="triple", max_episode=2)
     traced = train(cfg, trace=CallTrace())

@@ -21,6 +21,7 @@ from portagents.errors import (
 from portagents.market_data import (
     LoadConfig,
     Regime,
+    _regime_params,
     load_ohlcv,
     rolling_covariance,
     synth_generate,
@@ -283,6 +284,43 @@ def test_synth_drift_closed_form():
     series = synth_generate([Regime(drift=0.001, vol=0.0, length=10)], n_assets=1, seed=3)
     want = 100.0 * 1.001 ** np.arange(10)
     np.testing.assert_allclose(series.close[:, 0], want, rtol=1e-12)
+
+
+def loop_synth_close(regimes, n_assets, seed, s0=100.0):
+    """The closes of ``synth_generate`` compounded one day at a time."""
+    rng = np.random.default_rng(seed)
+    closes = [np.full(n_assets, s0)]
+    for i, regime in enumerate(regimes):
+        drift, vol, chol = _regime_params(regime, n_assets, f"regimes[{i}]")
+        steps = regime.length - 1 if i == 0 else regime.length
+        z = rng.standard_normal((steps, n_assets)) @ chol.T
+        for factor in (1.0 + drift) * np.exp(vol * z - 0.5 * vol * vol):
+            closes.append(closes[-1] * factor)
+    return np.array(closes)
+
+
+def test_synth_equals_the_per_day_loop():
+    # a one-day first regime is the s0 anchor alone, and the next regime
+    # keeps all its days
+    cases = [([Regime(0.0, 0.01, 1), Regime(0.0, 0.01, 5)], 2)]
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 25))
+        regimes = [
+            Regime(
+                drift=list(rng.uniform(-0.01, 0.01, n)),
+                vol=float(rng.uniform(0.0, 0.1)),
+                length=int(rng.integers(1, 200)),
+                corr=float(rng.uniform(0.0, 0.9)),
+            )
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        if sum(r.length for r in regimes) >= 2:
+            cases.append((regimes, n))
+    for seed, (regimes, n) in enumerate(cases):
+        got = synth_generate(regimes, n_assets=n, seed=seed).close
+        assert got.shape == (sum(r.length for r in regimes), n)
+        assert np.array_equal(got, loop_synth_close(regimes, n, seed))
 
 
 def test_synth_regime_lengths_and_ohlc_sanity():

@@ -109,7 +109,7 @@ class OldStepEnv(TradingEnv):
     """The environment with the earlier step, which divided two close rows,
     and the earlier observation."""
 
-    def observe(self) -> Observation:
+    def observe(self, market_features=None) -> Observation:
         if self.state is None:
             raise EpisodeFinished("reset the environment first")
         return old_build_observation(
@@ -117,7 +117,7 @@ class OldStepEnv(TradingEnv):
             self.state.day,
             self.window,
             holdings=self.state.holdings,
-            market_features=self._vm,
+            market_features=market_features,
         )
 
     def step(self, action) -> tuple[Observation, float, bool]:
