@@ -139,15 +139,13 @@ def test_invalid_actions_rejected():
 
 def test_market_features_flow_into_observation():
     # the features handed to a step appear in the observation it returns;
-    # a step without features, and a reset, give zeros
+    # a step without features gives zeros
     env = TradingEnv(two_asset_series(a_growth=1.01, b_growth=0.99), window=2)
-    np.testing.assert_array_equal(env.reset().vector[-3:], np.zeros(3))
+    env.reset()
     obs, _, _ = env.step(np.array([0.5, 0.5]), np.array([1.0, 0.02, -0.5]))
     np.testing.assert_array_equal(obs.vector[-3:], [1.0, 0.02, -0.5])
     obs, _, _ = env.step(np.array([0.5, 0.5]))
     np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
-    env.step(np.array([0.5, 0.5]), [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(env.reset().vector[-3:], np.zeros(3))
     # a wrong shape is refused before the step changes any state
     env.step(np.array([0.9, 0.1]))
     day, capital, holdings, done = env.state.day, env.state.capital, env.state.holdings.copy(), env.state.done
@@ -156,6 +154,15 @@ def test_market_features_flow_into_observation():
             env.step(np.array([0.2, 0.8]), bad)
         assert (env.state.day, env.state.capital, env.state.done) == (day, capital, done)
         np.testing.assert_array_equal(env.state.holdings, holdings)
+
+
+def test_reset_clears_market_features():
+    env = TradingEnv(two_asset_series(), window=2)
+    np.testing.assert_array_equal(env.reset().vector[-3:], np.zeros(3))
+    obs, _, _ = env.step(np.array([0.5, 0.5]), [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(obs.vector[-3:], np.ones(3))
+    obs = env.reset()
+    np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
 
 
 def test_constructor_bounds():
