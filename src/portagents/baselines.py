@@ -99,17 +99,18 @@ def l1_median(points, max_iter: int = 200, tol: float = 1e-9) -> np.ndarray:
     return y
 
 
-def rmr_update(
-    weights, price_window, epsilon: float = 5.0, max_iter: int = 200
-) -> np.ndarray:
+def rmr_update(weights, price_window, epsilon: float = 5.0) -> np.ndarray:
     """Robust median reversion: predict relatives from the L1 median of the
     price window, then take the shared reversion step."""
     p = np.asarray(price_window, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 2:
         raise InsufficientHistory("need a (w, N) price window with w >= 2")
-    x_hat = l1_median(p, max_iter=max_iter) / p[-1]
+    x_hat = l1_median(p) / p[-1]
     return _reversion_step(weights, x_hat, epsilon)
 
+
+# the price window of OLMAR and RMR, and the relatives window of CORN, in days
+WINDOW = 5
 
 # The log-optimal solve stops at the first iterate whose certificate
 # log max_i g_i is at most LOG_WEALTH_TOL, or after LOG_WEALTH_MAX_STEPS steps.
@@ -195,7 +196,7 @@ def _log_wealth_newton(x: np.ndarray) -> tuple[np.ndarray, int]:
     return b, steps
 
 
-def corn_weights(relatives_history, window: int = 5, rho: float = 0.1) -> np.ndarray:
+def corn_weights(relatives_history, window: int = WINDOW, rho: float = 0.1) -> np.ndarray:
     """Correlation-driven selection: find past windows correlated with the
     current one (>= rho), then bet the log-optimal portfolio over the days
     that followed them. Uniform when nothing matches.
@@ -247,83 +248,51 @@ class Strategy:
     calls, so the same arguments always give the same weights.
     """
 
-    name = "base"
-
     def step(self, weights: np.ndarray, history: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
-def _price_window(history: np.ndarray, window: int) -> np.ndarray:
-    """The last ``window`` rows of the pass's price path: ones on the day
+def _price_window(history: np.ndarray) -> np.ndarray:
+    """The last ``WINDOW`` rows of the pass's price path: ones on the day
     before its first, then the running products of ``history``."""
     path = np.concatenate([np.ones((1, history.shape[1])), np.cumprod(history, axis=0)])
-    return path[-window:]
+    return path[-WINDOW:]
 
 
 class Crp(Strategy):
-    name = "crp"
-
     def step(self, weights, history):
         return crp_weights(history.shape[1])
 
 
 class Eg(Strategy):
-    name = "eg"
-
-    def __init__(self, eta: float = 0.05):
-        self.eta = eta
-
     def step(self, weights, history):
-        return eg_update(weights, history[-1], eta=self.eta)
+        return eg_update(weights, history[-1])
 
 
 class Olmar(Strategy):
-    name = "olmar"
-
-    def __init__(self, window: int = 5, epsilon: float = 10.0):
-        self.window = window
-        self.epsilon = epsilon
-
     def step(self, weights, history):
-        if len(history) + 1 < self.window:
+        if len(history) + 1 < WINDOW:
             return weights
-        return olmar_update(weights, _price_window(history, self.window), epsilon=self.epsilon)
+        return olmar_update(weights, _price_window(history))
 
 
 class Pamr(Strategy):
-    name = "pamr"
-
-    def __init__(self, epsilon: float = 0.5):
-        self.epsilon = epsilon
-
     def step(self, weights, history):
-        return pamr_update(weights, history[-1], epsilon=self.epsilon)
+        return pamr_update(weights, history[-1])
 
 
 class Rmr(Strategy):
-    name = "rmr"
-
-    def __init__(self, window: int = 5, epsilon: float = 5.0):
-        self.window = window
-        self.epsilon = epsilon
-
     def step(self, weights, history):
-        if len(history) + 1 < self.window:
+        if len(history) + 1 < WINDOW:
             return weights
-        return rmr_update(weights, _price_window(history, self.window), epsilon=self.epsilon)
+        return rmr_update(weights, _price_window(history))
 
 
 class Corn(Strategy):
-    name = "corn"
-
-    def __init__(self, window: int = 5, rho: float = 0.1):
-        self.window = window
-        self.rho = rho
-
     def step(self, weights, history):
-        if len(history) < 2 * self.window + 1:
+        if len(history) < 2 * WINDOW + 1:
             return uniform_weights(history.shape[1])
-        return corn_weights(history, window=self.window, rho=self.rho)
+        return corn_weights(history)
 
 
 REGISTRY = {
@@ -336,11 +305,11 @@ REGISTRY = {
 }
 
 
-def make_strategy(name: str, **params) -> Strategy:
+def make_strategy(name: str) -> Strategy:
     try:
         cls = REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown baseline {name!r}; known: {sorted(REGISTRY)}"
         ) from None
-    return cls(**params)
+    return cls()

@@ -15,12 +15,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import baselines, harness
-from .env import observation_dim
+from . import harness
 from .errors import ConfigError, DataError
 from .config import RunConfig
 from .market_data import write_ohlcv_csv
-from .rl import load_agent
 
 log = logging.getLogger("portagents")
 
@@ -78,30 +76,17 @@ def cmd_backtest(args) -> int:
     out = harness.make_out_dir(args.out)
 
     kind, cfg, name = harness.resolve_strategy(strategy, cfg)
-    if kind == "baseline":
-        result = harness.backtest(baselines.make_strategy(name), series, cfg)
+    test_seg = harness.split_indices(series.n_days, cfg.splits)[2]
+    if kind != "baseline" and args.checkpoint:
+        agent, observer = harness.load_trained(args.checkpoint, cfg, series)
+        result = harness.backtest(agent, series, cfg, seg=test_seg, observer=observer, tier=cfg.tier)
     else:
-        if args.checkpoint:
-            obs_dim = observation_dim(cfg.env.window, series.n_assets)
-            agent, extra = load_agent(args.checkpoint, obs_dim, series.n_assets, cfg.agent.hidden)
-            observer = harness.observer_from_state(extra.get("observer"), cfg.observer)
-            if observer is None and cfg.tier == "triple":
-                raise ConfigError(f"checkpoint {args.checkpoint} holds no observer, which tier triple needs")
-            if cfg.tier == "triple" and observer.config.kind != cfg.observer.kind:
-                raise ConfigError(f"checkpoint {args.checkpoint} holds a {observer.config.kind} observer, "
-                                  f"the run config's observer.kind is {cfg.observer.kind}")
-        else:
-            # a short test split fails before any training
-            test_seg = harness.split_indices(series.n_days, cfg.splits)[2]
-            harness._env_for_segment(series, cfg, test_seg, need_risk=True)
-            trained = harness.train(cfg, series=series)
-            agent, observer = trained.agent, trained.observer
-        result = harness.backtest(agent, series, cfg, observer=observer, tier=cfg.tier)
+        result = harness.run_strategy(kind, cfg, name, series, test_seg, cfg.seed)
 
     payload = result.to_json_dict()
     payload["strategy"] = strategy
     path = out / "backtest_report.json"
-    harness._dump_json(payload, path)
+    harness.dump_json(payload, path)
     print(f"report: {path}")
     print(
         f"{strategy}: ar={payload['ar']:.6f} mdd={payload['mdd']:.6f} "

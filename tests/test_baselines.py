@@ -413,7 +413,7 @@ def run_rule(rule, relatives):
 
 def test_drivers_warmup_uniform():
     for name in ("olmar", "rmr", "corn"):
-        s = make_strategy(name, window=4)
+        s = make_strategy(name)
         out = s.step(uniform_weights(3), np.array([[1.2, 0.9, 1.0]]))
         np.testing.assert_allclose(out, np.full(3, 1.0 / 3.0))
 
@@ -438,8 +438,9 @@ def test_rules_are_stateless(name):
 
 
 def test_make_strategy_params_and_unknown():
-    s = make_strategy("eg", eta=0.2)
-    assert s.eta == 0.2
+    # a rule takes no parameters: each runs its update op's defaults
+    with pytest.raises(TypeError):
+        make_strategy("eg", eta=0.2)
     with pytest.raises(KeyError):
         make_strategy("ucrp")
 

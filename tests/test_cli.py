@@ -16,6 +16,7 @@ import portagents
 from portagents import harness
 from portagents.cli import main
 from portagents.config import RunConfig
+from portagents.env import TradingEnv
 from portagents.harness import backtest, observer_from_state
 from portagents.market_data import load_ohlcv
 from portagents.rl import Td3Agent, load_agent
@@ -778,6 +779,14 @@ def test_cli_run_loads_no_scipy(config_path, tmp_path):
     assert json.loads(read_bytes(tmp_path / "cmp" / "comparison.json"))["p_values"]["pamr"] < 1.0  # the normal tail ran
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to append to the returned list on every call."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize(
     "command, splits",
     [
@@ -789,17 +798,38 @@ def test_cli_run_loads_no_scipy(config_path, tmp_path):
 )
 def test_short_split_fails_before_any_training(command, splits, tmp_path, capsys, monkeypatch):
     # a validation or test split too short to step through is a config error
-    # found before the first TD3 update, and no report is written
-    updates = []
-    update = Td3Agent.update
-    monkeypatch.setattr(Td3Agent, "update", lambda self, *a, **k: updates.append(1) or update(self, *a, **k))
+    # found before the first trading pass (a baseline's included), and no
+    # report is written
+    updates = count_calls(monkeypatch, Td3Agent, "update")
+    passes = count_calls(monkeypatch, TradingEnv, "reset")
     config = tmp_path / "run.json"
     config.write_text(json.dumps({**PIPELINE_CONFIG, "splits": splits}))
     out = tmp_path / "out"
     assert main([command[0], "--config", str(config), *command[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "leaves fewer than 2 steps" in err and "Traceback" not in err, err
-    assert updates == []
+    assert updates == [] and passes == []
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, reference",
+    [
+        (["compare", "--strategies", "crp,olmar"], "olmr"),
+        (["ablate"], "triple"),  # the ablation rows name triple-dc and triple-mlp
+    ],
+)
+def test_reference_outside_the_strategies_fails_before_any_work(command, reference, tmp_path, capsys, monkeypatch):
+    # a reference that names no listed strategy is a config error, not a
+    # silent fall back to another row
+    passes = count_calls(monkeypatch, TradingEnv, "reset")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**PIPELINE_CONFIG, "reference": reference}))
+    out = tmp_path / "out"
+    assert main([command[0], "--config", str(config), *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"reference {reference!r}" in err and "Traceback" not in err, err
+    assert passes == []
     assert list(out.iterdir()) == []
 
 

@@ -1,5 +1,6 @@
-"""Golden fixture: SHA-256 of the reports that `compare` and `ablate` write,
-and of the checkpoint and report that `train` writes.
+"""Golden fixture: SHA-256 of the reports that `compare`, `ablate` and
+`backtest` (training in process) write, and of the checkpoint and report
+that `train` writes.
 
 A change to any number in these files, or to a checkpoint byte, changes a
 hash. Only a change that says it changes numbers may update GOLDEN; print
@@ -26,10 +27,12 @@ RUNS = {
     ("triple-mlp", "compare"): MLP_CONFIG,
     ("pipeline", "train"): PIPELINE_CONFIG,
     ("triple-mlp", "train"): MLP_CONFIG,
+    ("pipeline", "backtest"): PIPELINE_CONFIG,
+    ("triple-mlp", "backtest"): MLP_CONFIG,
 }
 
 # options each command writes its reports with
-OPTIONS = {"compare": ["--formats", "json,csv"], "ablate": ["--formats", "json,csv"], "train": []}
+OPTIONS = {"compare": ["--formats", "json,csv"], "ablate": ["--formats", "json,csv"], "train": [], "backtest": []}
 
 # (config name, command) -> {report file: sha256}
 GOLDEN = {
@@ -52,6 +55,12 @@ GOLDEN = {
     ("triple-mlp", "train"): {
         "checkpoint.bin": "adead25376575e9ca74b3063cef4cf693ea59a49c330161f21b1e76bd99eac90",
         "train_report.json": "870da313e0be34d6c63719f60973882c15199e0f064b1169ab50be3d0742946f",
+    },
+    ("pipeline", "backtest"): {
+        "backtest_report.json": "ea6d266a8b134f9e2bf08145bfc8ccfc347e66884acb7af7212af29f41d8d6e0",
+    },
+    ("triple-mlp", "backtest"): {
+        "backtest_report.json": "0ce3446c0f3d98c21cf449899e01998fe4cd24c71ad5368efbeb59873ba3ce57",
     },
 }
 

@@ -179,7 +179,7 @@ def test_triple_tier_step_ordering():
 
 
 def test_stored_tuple_matches_pipeline_events():
-    # buffer row t+1 holds step t's live actions, observation days and reward;
+    # buffer row t+1 holds step t's traded action, observation days and reward;
     # row 0 holds the start tuple
     cfg = small_config(tier="triple", max_episode=1)
     trace = CallTrace()
@@ -202,16 +202,14 @@ def test_stored_tuple_matches_pipeline_events():
     assert len(buf) == n_steps + 1
     for t in range(n_steps):
         a_rl, a_final = payload("rl", t)["a_rl"], payload("compose", t)["a_final"]
-        np.testing.assert_array_equal(buf.a_rl[t + 1], a_rl)
         np.testing.assert_array_equal(buf.a_final[t + 1], a_final)
         expected_reward = per_step_reward(payload("execute", t)["growth"], a_rl, a_final, cfg.reward)
         assert buf.reward[t + 1, 0] == expected_reward
         np.testing.assert_array_equal(buf.obs[t + 1, :width], market_window(start + t))
         np.testing.assert_array_equal(buf.next_obs[t + 1, :width], market_window(start + t + 1))
 
-    # the start tuple: uniform actions, zero reward, the first observation twice
+    # the start tuple: a uniform action, zero reward, the first observation twice
     n = 2
-    np.testing.assert_array_equal(buf.a_rl[0], np.full(n, 0.5))
     np.testing.assert_array_equal(buf.a_final[0], np.full(n, 0.5))
     assert buf.reward[0, 0] == 0.0
     np.testing.assert_array_equal(buf.obs[0], buf.next_obs[0])
@@ -244,7 +242,7 @@ def test_trace_does_not_change_a_run():
     cfg = small_config(tier="triple", max_episode=2)
     traced = train(cfg, trace=CallTrace())
     plain = train(cfg)
-    for column in ("obs", "a_final", "a_rl", "next_obs", "reward"):
+    for column in ("obs", "a_final", "next_obs", "reward"):
         assert getattr(traced.buffer, column).tobytes() == getattr(plain.buffer, column).tobytes()
     assert traced.agent.actor.flat.tobytes() == plain.agent.actor.flat.tobytes()
     assert traced.curves == plain.curves

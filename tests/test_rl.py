@@ -34,9 +34,7 @@ def fill_buffer(n, obs_dim=5, n_assets=3, seed=0):
     buf = ReplayBuffer(256, obs_dim, n_assets, seed=seed + 1)
     for _ in range(n):
         a = rng.dirichlet(np.ones(n_assets))
-        buf.push(
-            rng.normal(size=obs_dim), a, a, rng.normal(size=obs_dim), float(rng.normal(scale=0.01))
-        )
+        buf.push(rng.normal(size=obs_dim), a, rng.normal(size=obs_dim), float(rng.normal(scale=0.01)))
     return buf
 
 
@@ -171,7 +169,7 @@ def test_buffer_ring_overwrites_oldest():
     buf = ReplayBuffer(4, 1, 2, seed=0)
     for i in range(6):
         w = np.ones(2) / 2
-        buf.push(np.array([float(i)]), w, w, np.array([float(i)]), float(i))
+        buf.push(np.array([float(i)]), w, np.array([float(i)]), float(i))
     assert len(buf) == 4
     # rows 0 and 1 were overwritten by the fifth and sixth step
     np.testing.assert_array_equal(buf.reward[:, 0], [4.0, 5.0, 2.0, 3.0])
@@ -302,7 +300,7 @@ def test_critic_learns_constant_reward():
     buf = ReplayBuffer(128, 4, 2, seed=16)
     for _ in range(64):
         w = rng.dirichlet(np.ones(2))
-        buf.push(rng.normal(size=4), w, w, rng.normal(size=4), 1.0)
+        buf.push(rng.normal(size=4), w, rng.normal(size=4), 1.0)
     first = agent.update(buf)["critic_loss"]
     for _ in range(400):
         last = agent.update(buf)["critic_loss"]
@@ -509,7 +507,7 @@ def test_update_matches_list_buffer_and_per_array_learner(
         a_final, a_rl = rng.dirichlet(np.ones(n_assets), size=2)
         o_prev, o_next = rng.normal(size=(2, obs_dim))
         reward = float(rng.normal(scale=0.01))
-        ring.push(o_prev, a_final, a_rl, o_next, reward)
+        ring.push(o_prev, a_final, o_next, reward)
         listed.push(Transition(o_prev, a_final, a_rl, o_next, reward))
 
     for _ in range(batch):
