@@ -71,13 +71,15 @@ def cmd_train(args) -> int:
 
 def cmd_backtest(args) -> int:
     cfg = _load_config(args)
-    series = cfg.load_series()
     strategy = args.strategy or cfg.tier
+    kind, cfg, name = harness.resolve_strategy(strategy, cfg)
+    if kind == "baseline" and args.checkpoint:
+        raise ConfigError(f"--checkpoint holds an agent, which baseline strategy {strategy!r} cannot use")
+    series = cfg.load_series()
     out = harness.make_out_dir(args.out)
 
-    kind, cfg, name = harness.resolve_strategy(strategy, cfg)
     test_seg = harness.split_indices(series.n_days, cfg.splits)[2]
-    if kind != "baseline" and args.checkpoint:
+    if args.checkpoint:
         agent, observer = harness.load_trained(args.checkpoint, cfg, series)
         result = harness.backtest(agent, series, cfg, seg=test_seg, observer=observer, tier=cfg.tier)
     else:

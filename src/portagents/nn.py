@@ -3,10 +3,11 @@ gradients, Adam, and the header and bytes that a checkpoint holds per net.
 
 Everything is float64. Each net keeps all its parameters in one flat
 vector, and every layer's weights and bias are views into it; gradients and
-Adam moments are flat vectors in the same layout. Inputs may be single
-vectors ``(in,)`` or batches ``(B, in)``; parameter gradients are summed
-over the batch, so callers implementing a mean loss scale the output
-gradient by ``1/B`` themselves.
+Adam moments are flat vectors in the same layout. A stack of k nets keeps
+them as k rows and runs them with one matmul per layer. Inputs may be single
+vectors ``(in,)`` or batches ``(B, in)`` (a stack needs a batch); parameter
+gradients are summed over the batch, so callers implementing a mean loss
+scale the output gradient by ``1/B`` themselves.
 """
 
 from __future__ import annotations
@@ -60,85 +61,77 @@ def _activation_input_grad(a, grad_out, kind):
 
 @dataclass
 class Layer:
-    w: np.ndarray  # (out, in)
-    b: np.ndarray  # (out,)
+    w: np.ndarray  # (out, in); (k, out, in) in a stack of k nets
+    b: np.ndarray  # (out,); (k, 1, out) in a stack of k nets
     activation: str
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.w.ndim != 2 or self.b.ndim != 1 or self.w.shape[0] != self.b.shape[0]:
-            raise ShapeMismatch(
-                f"layer weights {self.w.shape} incompatible with bias {self.b.shape}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 class DenseNet:
-    """A stack of fully connected layers over one parameter vector.
+    """Fully connected layers over one parameter vector.
 
     ``flat`` holds w0, b0, w1, b1, ... row-major; each layer's ``w`` and
-    ``b`` are views into it. Building a net copies the given layers'
-    parameters into a fresh vector.
+    ``b`` are views into it. A stack of k nets of one shape has a (k, P)
+    ``flat`` whose row i is net i, so one forward or backward runs all k.
     """
 
-    def __init__(self, layers: list[Layer]):
-        if not layers:
-            raise ValueError("DenseNet needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.w.shape[1] != prev.w.shape[0]:
-                raise ShapeMismatch(
-                    f"layer input {nxt.w.shape[1]} != previous output {prev.w.shape[0]}"
-                )
-        self.flat = np.concatenate([p.ravel() for l in layers for p in (l.w, l.b)])
-        self._shapes = [p.shape for l in layers for p in (l.w, l.b)]
-        views = self.views(self.flat)
-        self.layers = [
-            Layer(w, b, l.activation) for w, b, l in zip(views[::2], views[1::2], layers)
-        ]
+    def __init__(self, sizes, activations, flat: np.ndarray):
+        if not activations or len(activations) != len(sizes) - 1:
+            raise ShapeMismatch(f"{len(sizes) - 1} layers but {len(activations)} activations")
+        if set(activations) - set(ACTIVATIONS):
+            raise ValueError(f"unknown activation in {list(activations)}")
+        self.sizes, self.activations = list(sizes), list(activations)
+        size = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+        if flat.ndim not in (1, 2) or flat.shape[-1] != size:
+            raise ShapeMismatch(f"a {self.sizes} net has {size} parameters, not {flat.shape}")
+        self.flat = flat
+        views = self.views(flat)
+        self.layers = [Layer(w, b, act) for w, b, act in zip(views[::2], views[1::2], activations)]
 
     @classmethod
     def create(cls, sizes, activations, rng) -> "DenseNet":
         """Fresh net with uniform fan-in init (Kaiming-style for relu,
         Xavier-style otherwise) and zero biases, drawn from ``rng``."""
-        if len(activations) != len(sizes) - 1:
-            raise ShapeMismatch(
-                f"{len(sizes) - 1} layers but {len(activations)} activations"
-            )
-        layers = []
+        parts = [np.zeros(0)]  # a spec with no layer reaches the check in __init__
         for fan_in, fan_out, act in zip(sizes, sizes[1:], activations):
             if act == "relu":
                 bound = np.sqrt(6.0 / fan_in)
             else:
                 bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            layers.append(Layer(w, np.zeros(fan_out), act))
-        return cls(layers)
+            parts += [rng.uniform(-bound, bound, size=fan_out * fan_in), np.zeros(fan_out)]
+        return cls(sizes, activations, np.concatenate(parts))
+
+    @classmethod
+    def stack(cls, nets) -> "DenseNet":
+        """One net over a (k, P) copy of k same-shaped nets' vectors."""
+        if any((n.sizes, n.activations) != (nets[0].sizes, nets[0].activations) for n in nets):
+            raise ShapeMismatch("only nets of one shape stack")
+        return cls(nets[0].sizes, nets[0].activations, np.stack([n.flat for n in nets]))
+
+    def rows(self) -> list["DenseNet"]:
+        """Each net of a stack, over a view of its row of ``flat``."""
+        return [DenseNet(self.sizes, self.activations, row) for row in self.flat]
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].w.shape[1]
+        return self.sizes[0]
 
     def views(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Views of a vector in the ``flat`` layout, shaped w0, b0, w1, b1, ..."""
-        out, pos = [], 0
-        for shape in self._shapes:
-            size = math.prod(shape)
-            out.append(vector[pos : pos + size].reshape(shape))
-            pos += size
+        """Views of a vector (or a stack of rows) in the ``flat`` layout,
+        shaped w0, b0, w1, b1, ..."""
+        lead, out, pos = vector.shape[:-1], [], 0
+        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
+            for shape in ((n_out, n_in), (1, n_out) if lead else (n_out,)):
+                size = math.prod(shape)
+                out.append(vector[..., pos : pos + size].reshape(*lead, *shape))
+                pos += size
         return out
 
     def params(self) -> list[np.ndarray]:
         """Parameter arrays in a fixed order: w0, b0, w1, b1, ..."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.w)
-            out.append(layer.b)
-        return out
+        return [p for layer in self.layers for p in (layer.w, layer.b)]
 
     def copy(self) -> "DenseNet":
-        return DenseNet(self.layers)
+        return DenseNet(self.sizes, self.activations, self.flat.copy())
 
     def __deepcopy__(self, memo) -> "DenseNet":
         # a plain deep copy would give every layer an array of its own
@@ -157,7 +150,8 @@ class Tape:
 def forward(net: DenseNet, x):
     """Evaluate the net; returns ``(output, tape)``.
 
-    ``x`` is a single input vector or a batch of rows.
+    ``x`` is a single input vector or a batch of rows; a stack of k nets
+    maps a (B, in) batch to (k, B, out).
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -166,10 +160,12 @@ def forward(net: DenseNet, x):
         raise DimensionMismatch(
             f"input width {x.shape[-1]} != net input dim {net.input_dim}"
         )
+    if x.ndim < net.layers[0].w.ndim - 1:
+        raise DimensionMismatch("a stack of nets takes a batch of rows, not one vector")
     tape = Tape(net=net, x=x)
     a = x
     for layer in net.layers:
-        z = a @ layer.w.T + layer.b
+        z = a @ layer.w.mT + layer.b
         a = _activate(z, layer.activation)
         tape.activations.append(a)
     return a, tape
@@ -178,9 +174,9 @@ def forward(net: DenseNet, x):
 def backward(net: DenseNet, tape: Tape, output_gradient):
     """Reverse-mode gradients.
 
-    Returns ``(param_grad, input_grad)`` where ``param_grad`` is one vector
-    in the layout of ``net.flat``. Parameter gradients are summed over the
-    batch.
+    Returns ``(param_grad, input_grad)`` where ``param_grad`` has the
+    layout and shape of ``net.flat``. Parameter gradients are summed over
+    the batch.
     """
     if tape.net is not net:
         raise StaleTape("tape was recorded on a different net")
@@ -200,8 +196,8 @@ def backward(net: DenseNet, tape: Tape, output_gradient):
             grads[2 * i][...] = np.outer(gz, prev)
             grads[2 * i + 1][...] = gz
         else:
-            grads[2 * i][...] = gz.T @ prev
-            grads[2 * i + 1][...] = gz.sum(axis=0)
+            grads[2 * i][...] = gz.mT @ prev
+            grads[2 * i + 1][...] = gz.sum(axis=-2, keepdims=True)
         g = gz @ layer.w
     return param_grad, g
 
@@ -255,7 +251,7 @@ def adam_step(state: AdamState, params, grad):
 
 def net_header(net: DenseNet) -> dict:
     """A net's entry in a checkpoint's ``nets`` block: its format and layers."""
-    layers = [{"activation": l.activation, "out": int(l.w.shape[0]), "in": int(l.w.shape[1])} for l in net.layers]
+    layers = [{"activation": a, "out": int(o), "in": int(i)} for i, o, a in zip(net.sizes, net.sizes[1:], net.activations)]
     return {"format": "dense-net", "version": 1, "dtype": "<f8", "layers": layers}
 
 

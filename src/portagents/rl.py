@@ -1,6 +1,6 @@
 """Return-maximising RL agent: divergence-regularised rewards, replay
-buffer, and a TD3 learner (twin critics, delayed policy updates, target
-policy smoothing) built on the dense-net engine.
+buffer, and a TD3 learner (twin critics run as one stacked net, delayed
+policy updates, target policy smoothing) built on the dense-net engine.
 
 The actor outputs logits mapped to portfolio weights by softmax; exploration
 and smoothing noise are injected on the logits before the softmax.
@@ -198,16 +198,20 @@ class Td3Agent:
         actor, critic = _net_sizes(obs_dim, n_assets, self.config.hidden)
         acts = ["relu"] * len(self.config.hidden) + ["linear"]
         self.actor = nn.DenseNet.create(actor, acts, init_rng)
-        self.critic1 = nn.DenseNet.create(critic, acts, init_rng)
-        self.critic2 = nn.DenseNet.create(critic, acts, init_rng)
+        # row 0 is Q1 and row 1 is Q2; Adam is elementwise, so one state
+        # over both rows steps each critic as its own state would
+        self.critics = nn.DenseNet.stack([nn.DenseNet.create(critic, acts, init_rng) for _ in range(2)])
         self.actor_target = self.actor.copy()
-        self.critic1_target = self.critic1.copy()
-        self.critic2_target = self.critic2.copy()
-        lr = self.config.lr
-        self.actor_opt = nn.AdamState.for_params(self.actor.flat, lr=lr)
-        self.critic1_opt = nn.AdamState.for_params(self.critic1.flat, lr=lr)
-        self.critic2_opt = nn.AdamState.for_params(self.critic2.flat, lr=lr)
+        self.critics_target = self.critics.copy()
+        self.actor_opt = nn.AdamState.for_params(self.actor.flat, lr=self.config.lr)
+        self.critics_opt = nn.AdamState.for_params(self.critics.flat, lr=self.config.lr)
         self.update_count = 0
+
+    def nets(self) -> dict[str, nn.DenseNet]:
+        """The six nets by their ``_NET_ORDER`` names, the critics as views
+        of their stack's rows."""
+        (q1, q2), (q1_target, q2_target) = self.critics.rows(), self.critics_target.rows()
+        return dict(zip(_NET_ORDER, (self.actor, self.actor_target, q1, q1_target, q2, q2_target)))
 
     # -- acting ---------------------------------------------------------
 
@@ -229,18 +233,12 @@ class Td3Agent:
         noise = self.config.sigma_smooth * self.noise_rng.standard_normal(logits.shape)
         noise = np.clip(noise, -self.config.noise_clip, self.config.noise_clip)
         actions = nn.softmax(logits + noise)
-        q_in = np.concatenate([obs_next, actions], axis=1)
-        q1, _ = nn.forward(self.critic1_target, q_in)
-        q2, _ = nn.forward(self.critic2_target, q_in)
-        return rewards + self.config.gamma * np.minimum(q1, q2)
+        q, _ = nn.forward(self.critics_target, np.concatenate([obs_next, actions], axis=1))
+        return rewards + self.config.gamma * np.minimum(q[0], q[1])
 
     def _polyak(self):
         tau = self.config.tau
-        for live, target in (
-            (self.actor, self.actor_target),
-            (self.critic1, self.critic1_target),
-            (self.critic2, self.critic2_target),
-        ):
+        for live, target in ((self.actor, self.actor_target), (self.critics, self.critics_target)):
             target.flat *= 1.0 - tau
             target.flat += tau * live.flat
 
@@ -251,31 +249,27 @@ class Td3Agent:
         obs, actions, obs_next, rewards = buffer.sample(bs)
 
         targets = self._td_targets(rewards, obs_next)
-        q_in = np.concatenate([obs, actions], axis=1)
-        losses = {}
-        for name, critic, opt in (
-            ("critic1", self.critic1, self.critic1_opt),
-            ("critic2", self.critic2, self.critic2_opt),
-        ):
-            q, tape = nn.forward(critic, q_in)
-            err = q - targets
-            losses[f"{name}_loss"] = float(np.mean(err * err))
-            grad, _ = nn.backward(critic, tape, 2.0 * err / bs)
-            nn.adam_step(opt, critic.flat, grad)
+        q, tape = nn.forward(self.critics, np.concatenate([obs, actions], axis=1))
+        err = q - targets
+        loss1, loss2 = (float(np.mean(e * e)) for e in err)
+        grad, _ = nn.backward(self.critics, tape, 2.0 * err / bs)
+        nn.adam_step(self.critics_opt, self.critics.flat, grad)
 
         self.update_count += 1
         out = {
-            "critic_loss": 0.5 * (losses["critic1_loss"] + losses["critic2_loss"]),
-            **losses,
+            "critic_loss": 0.5 * (loss1 + loss2),
+            "critic1_loss": loss1,
+            "critic2_loss": loss2,
             "did_policy_update": False,
         }
         if self.update_count % self.config.policy_delay == 0:
             logits, actor_tape = nn.forward(self.actor, obs)
             acts = nn.softmax(logits)
             q_in_pi = np.concatenate([obs, acts], axis=1)
-            q, critic_tape = nn.forward(self.critic1, q_in_pi)
+            critic1 = self.critics.rows()[0]
+            q, critic_tape = nn.forward(critic1, q_in_pi)
             # ascend Q: minimise -mean(Q)
-            _, d_in = nn.backward(self.critic1, critic_tape, np.full_like(q, -1.0 / bs))
+            _, d_in = nn.backward(critic1, critic_tape, np.full_like(q, -1.0 / bs))
             d_logits = nn.softmax_input_grad(acts, d_in[:, self.obs_dim :])
             grad, _ = nn.backward(self.actor, actor_tape, d_logits)
             nn.adam_step(self.actor_opt, self.actor.flat, grad)
@@ -293,6 +287,7 @@ class Td3Agent:
 
 def save_agent(agent: Td3Agent, path, extra: dict | None = None):
     """Single versioned binary archive of all six nets plus counters/config."""
+    nets = agent.nets()
     header = {
         "format": "td3-agent",
         "version": 1,
@@ -302,9 +297,9 @@ def save_agent(agent: Td3Agent, path, extra: dict | None = None):
         "update_count": agent.update_count,
         "config": asdict(agent.config),
         "extra": extra or {},
-        "nets": {name: nn.net_header(getattr(agent, name)) for name in _NET_ORDER},
+        "nets": {name: nn.net_header(net) for name, net in nets.items()},
     }
-    body = b"".join(nn.net_param_bytes(getattr(agent, name)) for name in _NET_ORDER)
+    body = b"".join(nn.net_param_bytes(net) for net in nets.values())
     try:
         with open(path, "wb") as fh:
             fh.write(_MAGIC_AGENT)
@@ -374,10 +369,11 @@ def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None, hi
         if want is not None and got != want:
             raise ConfigError(f"checkpoint {path} has {field_name} {got}, the run config needs {want}")
     agent = Td3Agent(head.obs_dim, head.n_assets, head.config, seed=head.seed)
-    if head.nets != {name: nn.net_header(getattr(agent, name)) for name in _NET_ORDER}:
+    nets = agent.nets()
+    if head.nets != {name: nn.net_header(net) for name, net in nets.items()}:
         raise IoFailure(f"agent checkpoint {path} has a nets block that its config does not build")
-    ends = np.cumsum([getattr(agent, name).flat.size for name in _NET_ORDER])
-    for name, part in zip(_NET_ORDER, np.split(np.frombuffer(raw, dtype="<f8"), ends[:-1])):
-        getattr(agent, name).flat[:] = part
+    ends = np.cumsum([net.flat.size for net in nets.values()])
+    for net, part in zip(nets.values(), np.split(np.frombuffer(raw, dtype="<f8"), ends[:-1])):
+        net.flat[:] = part
     agent.update_count = head.update_count
     return agent, head.extra

@@ -128,6 +128,23 @@ def test_backtest_baseline_strategy(config_path, tmp_path):
     assert set(payload) >= {"ar", "mdd", "sharpe", "risk", "config_hash", "seed"}
 
 
+@pytest.mark.parametrize("exists", [False, True], ids=["absent", "present"])
+def test_backtest_baseline_strategy_refuses_a_checkpoint(exists, config_path, tmp_path, capsys, monkeypatch):
+    # a baseline reads no agent, so a checkpoint given with one is a config
+    # error found before any work, whether or not the file exists
+    loads = count_calls(monkeypatch, RunConfig, "load_series")
+    passes = count_calls(monkeypatch, TradingEnv, "reset")
+    ckpt = tmp_path / "no_such.bin"
+    if exists:
+        ckpt.write_bytes(b"not a checkpoint")
+    out = tmp_path / "bt"
+    args = ["backtest", "--config", config_path, "--strategy", "crp", "--checkpoint", str(ckpt), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "--checkpoint" in err and "'crp'" in err and "Traceback" not in err, err
+    assert loads == [] and passes == [] and not out.exists()
+
+
 def test_compare_rerun_byte_identical(config_path, tmp_path):
     args = [
         "compare",

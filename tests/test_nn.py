@@ -273,8 +273,14 @@ def assert_layers_view(net):
     """Every layer's w and b read and write ``net.flat`` in params() order."""
     pos = 0
     for p in net.params():
-        assert p.base is net.flat
-        np.testing.assert_array_equal(p.ravel(), net.flat[pos : pos + p.size])
+        # a row view's base is its stack's vector, so test the memory itself
+        segment = net.flat[pos : pos + p.size]
+        assert np.shares_memory(p, segment)
+        np.testing.assert_array_equal(p.ravel(), segment)
+        old = p.copy()
+        p += 1.0
+        np.testing.assert_array_equal(segment, old.ravel() + 1.0)
+        p[...] = old
         pos += p.size
     assert pos == net.flat.size
 
@@ -452,3 +458,47 @@ def test_flat_engine_matches_per_array_engine(seed, sizes, batch, data):
 def test_create_rejects_bad_spec():
     with pytest.raises(DimensionMismatch):
         make_net([3, 2], ["linear", "tanh"])  # activation count mismatch
+    with pytest.raises(ShapeMismatch):
+        nn.DenseNet([3, 2], ["linear"], np.zeros(7))  # 8 parameters
+    with pytest.raises(ShapeMismatch):
+        nn.DenseNet.stack([make_net([3, 2], ["linear"]), make_net([3, 3], ["linear"])])
+
+
+# -- a stack of nets -----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 3]),
+    sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+    batch=st.integers(1, 40),
+    data=st.data(),
+)
+def test_stack_is_bit_equal_to_each_net_alone(seed, k, sizes, batch, data):
+    acts = data.draw(st.lists(st.sampled_from(nn.ACTIVATIONS), min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    rng = np.random.default_rng(seed)
+    nets = [nn.DenseNet.create(sizes, acts, rng) for _ in range(k)]
+    stack = nn.DenseNet.stack(nets)
+    x = rng.normal(size=(batch, sizes[0]))
+    out, tape = nn.forward(stack, x)
+    assert out.shape == (k, batch, sizes[-1])
+    g_out = rng.normal(size=out.shape)
+    grad, d_in = nn.backward(stack, tape, g_out)
+    assert grad.shape == stack.flat.shape and d_in.shape == (k, batch, sizes[0])
+    for i, net in enumerate(nets):
+        assert np.array_equal(stack.flat[i], net.flat)
+        net_out, net_tape = nn.forward(net, x)
+        assert np.array_equal(out[i], net_out)
+        net_grad, net_d_in = nn.backward(net, net_tape, g_out[i])
+        assert np.array_equal(grad[i], net_grad)
+        assert np.array_equal(d_in[i], net_d_in)
+    # the stack holds copies; its rows are views of it
+    assert not any(np.shares_memory(stack.flat, net.flat) for net in nets)
+    for i, row in enumerate(stack.rows()):
+        assert_layers_view(row)
+        row.flat[:] = -i
+        assert np.all(stack.flat[i] == -i) and np.all(stack.layers[0].w[i] == -i)
+    # one vector would broadcast against the (k, 1, out) biases
+    with pytest.raises(DimensionMismatch):
+        nn.forward(stack, x[0])

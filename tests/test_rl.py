@@ -249,8 +249,8 @@ def test_td_targets_use_elementwise_min_of_twin_critics():
     noise = clone.config.sigma_smooth * clone.noise_rng.standard_normal(logits.shape)
     noise = np.clip(noise, -clone.config.noise_clip, clone.config.noise_clip)
     q_in = np.concatenate([obs_next, nn.softmax(logits + noise)], axis=1)
-    q1, _ = nn.forward(clone.critic1_target, q_in)
-    q2, _ = nn.forward(clone.critic2_target, q_in)
+    q1, _ = nn.forward(clone.nets()["critic1_target"], q_in)
+    q2, _ = nn.forward(clone.nets()["critic2_target"], q_in)
     min_q = np.minimum(q1, q2)
     np.testing.assert_allclose(targets, rewards + clone.config.gamma * min_q, atol=1e-12)
     assert np.all(min_q <= q1 + 1e-15) and np.all(min_q <= q2 + 1e-15)
@@ -270,11 +270,7 @@ def test_full_polyak_copy_with_tau_one():
     config = Td3Config(hidden=(8, 8), tau=1.0, policy_delay=1, warmup=0, batch_size=8, buffer_capacity=64)
     agent = Td3Agent(obs_dim=5, n_assets=3, config=config, seed=11)
     agent.update(fill_buffer(16))
-    for live, target in (
-        (agent.actor, agent.actor_target),
-        (agent.critic1, agent.critic1_target),
-        (agent.critic2, agent.critic2_target),
-    ):
+    for live, target in ((agent.actor, agent.actor_target), (agent.critics, agent.critics_target)):
         for p, tp in zip(live.params(), target.params()):
             np.testing.assert_array_equal(p, tp)
 
@@ -320,7 +316,7 @@ def test_agent_save_load_roundtrip(tmp_path):
     obs = np.linspace(0, 1, 6)
     np.testing.assert_array_equal(back.select_action(obs), agent.select_action(obs))
     for name in _NET_ORDER:
-        net, twin = getattr(agent, name), getattr(back, name)
+        net, twin = agent.nets()[name], back.nets()[name]
         assert [l.activation for l in twin.layers] == [l.activation for l in net.layers]
         for p, q in zip(net.params(), twin.params()):
             np.testing.assert_array_equal(p, q)
@@ -339,9 +335,9 @@ def test_snapshot_keeps_each_net_tied_to_its_own_vector():
     agent = Td3Agent(obs_dim=5, n_assets=3, config=SMALL, seed=19)
     snap = agent.snapshot()
     for name in _NET_ORDER:
-        net = getattr(snap, name)
-        assert all(p.base is net.flat for p in net.params())
-        assert not np.shares_memory(net.flat, getattr(agent, name).flat)
+        net = snap.nets()[name]
+        assert_layers_view(net)
+        assert not np.shares_memory(net.flat, agent.nets()[name].flat)
     w0 = snap.actor.layers[0].w.copy()
     nn.adam_step(snap.actor_opt, snap.actor.flat, np.ones_like(snap.actor.flat))
     assert np.all(snap.actor.layers[0].w < w0)
@@ -404,8 +400,8 @@ class ListTd3:
     def __init__(self, agent: Td3Agent):
         self.config, self.obs_dim = agent.config, agent.obs_dim
         self.noise_rng = copy.deepcopy(agent.noise_rng)
-        for name in _NET_ORDER:
-            setattr(self, name, ArrayNet(getattr(agent, name)))
+        for name, net in agent.nets().items():
+            setattr(self, name, ArrayNet(net))
         lr = self.config.lr
         self.actor_opt = ListAdamState.for_params(self.actor.params(), lr=lr)
         self.critic1_opt = ListAdamState.for_params(self.critic1.params(), lr=lr)
@@ -515,7 +511,7 @@ def test_update_matches_list_buffer_and_per_array_learner(
     for _ in range(24):
         assert agent.update(ring) == twin.update(listed)
         push()
-    for name in _NET_ORDER:
-        assert np.array_equal(getattr(agent, name).flat, flatten(getattr(twin, name).params())), name
+    for name, net in agent.nets().items():
+        assert np.array_equal(net.flat, flatten(getattr(twin, name).params())), name
     assert agent.noise_rng.bit_generator.state == twin.noise_rng.bit_generator.state
     assert ring.rng.bit_generator.state == listed.rng.bit_generator.state
