@@ -49,13 +49,13 @@ for a_final in (a_rl, np.array([0.6, 0.3, 0.1]), np.array([0.0, 0.0, 1.0])):
 cfg = RewardConfig(lambda1=1.0, lambda2=0.5)
 finals = [a_rl, np.array([0.7, 0.2, 0.1]), np.array([0.75, 0.15, 0.1])]
 jsds = [jensen_shannon(a_rl, f) for f in finals]
-steps = [per_step_reward(g, a_rl, f, cfg) for g, f in zip(growths, finals)]
+steps = [per_step_reward(g, jensen_shannon(a_rl, f), cfg) for g, f in zip(growths, finals)]
 summary = episode_reward(growths, jsds, c0=1.0, config=cfg)
 print(f"episode J {summary.j:+.6f} "
       f"(return term {summary.j_return:+.6f}, divergence term {summary.j_divergence:+.6f})")
 assert abs(summary.j - np.mean(steps)) < 1e-12  # c0 = 1 so the anchor is 0
 
 # a lone bad day is visible straight in the reward sign
-good = per_step_reward(1.01, a_rl, a_rl, cfg)
-bad = per_step_reward(0.97, a_rl, a_rl, cfg)
+good = per_step_reward(1.01, jensen_shannon(a_rl, a_rl), cfg)
+bad = per_step_reward(0.97, jensen_shannon(a_rl, a_rl), cfg)
 print(f"reward up-day {good:+.5f}, down-day {bad:+.5f}")

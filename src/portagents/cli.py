@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import harness
 from .errors import ConfigError, DataError
-from .config import RunConfig
-from .market_data import write_ohlcv_csv
+from .config import DataBlock, RunConfig, from_json
+from .market_data import synth_from_spec, write_ohlcv_csv
 
 log = logging.getLogger("portagents")
 
@@ -48,9 +48,11 @@ def _load_config(args) -> RunConfig:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    if "synth" not in cfg.data:
+    # the whole block is checked, but a data.file beside data.synth is not read
+    data = from_json(DataBlock, cfg.data, "data")
+    if data.synth is None:
         raise ConfigError("synth command needs a data.synth block in the config")
-    series = cfg.load_series()
+    series = synth_from_spec(data.synth)
     out = Path(args.out)
     harness.make_out_dir(out.parent)
     write_ohlcv_csv(series, out)

@@ -231,7 +231,7 @@ def _run_pass(
             record("rl_update", episode, step_i)
 
         if buffer is not None:
-            reward = per_step_reward(growth, a_rl, a_final, reward_cfg)
+            reward = per_step_reward(growth, jsd, reward_cfg)
             buffer.push(obs.vector, a_final, next_obs.vector, reward)
             record(
                 "store",

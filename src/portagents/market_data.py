@@ -28,8 +28,6 @@ from .errors import (
     UnparseableDate,
 )
 
-PRICE_FIELDS = ("open", "high", "low", "close")
-
 # the range a close relative must fall in: a relative near 1e298 is finite,
 # but it overflows the first layer of a net that reads it
 RELATIVE_BOUNDS = (1e-6, 1e6)
@@ -37,19 +35,19 @@ RELATIVE_BOUNDS = (1e-6, 1e6)
 
 @dataclass
 class OhlcvSeries:
-    """Aligned OHLCV panel: (T, N) price arrays over a shared date axis."""
+    """Aligned closes: a (T, N) price array over a shared date axis.
+
+    Every agent and baseline reads only price relatives, so a series keeps
+    no open, high or low: :func:`load_ohlcv` checks a long CSV's and drops
+    them, and :func:`write_ohlcv_csv` derives them from the closes.
+    """
 
     asset_ids: list[str]
     dates: list[str]  # ISO-8601, ascending
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
     close: np.ndarray
 
     def __post_init__(self):
-        for name in PRICE_FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
+        self.close = np.asarray(self.close, dtype=np.float64)
         t, n = self.close.shape
         if t < 2:
             raise SeriesTooShort(f"need at least 2 days, got {t}")
@@ -58,14 +56,10 @@ class OhlcvSeries:
                 f"axis mismatch: {len(self.dates)} dates, {len(self.asset_ids)} assets, "
                 f"prices {self.close.shape}"
             )
-        for name in PRICE_FIELDS:
-            arr = getattr(self, name)
-            if arr.shape != (t, n):
-                raise SeriesTooShort(f"{name} shape {arr.shape} != {(t, n)}")
-            if not np.all(np.isfinite(arr)):
-                raise NonPositivePrice(f"{name} contains a price that is not finite")
-            if not np.all(arr > 0.0):
-                raise NonPositivePrice(f"{name} contains non-positive prices")
+        if not np.all(np.isfinite(self.close)):
+            raise NonPositivePrice("close contains a price that is not finite")
+        if not np.all(self.close > 0.0):
+            raise NonPositivePrice("close contains non-positive prices")
         if list(self.dates) != sorted(self.dates):
             raise UnparseableDate("dates are not ascending")
         # every pass slices this one array, so none may write into it
@@ -123,8 +117,7 @@ class LoadConfig:
     """CSV layout description for :func:`load_ohlcv`.
 
     ``layout="long"`` expects columns (date, asset, open, high, low, close);
-    ``layout="wide"`` expects a date column plus one close column per asset
-    (OHLC filled from close).
+    ``layout="wide"`` expects a date column plus one close column per asset.
     """
 
     layout: str = "long"
@@ -168,7 +161,7 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
     if cfg.date_column not in col:
         raise MissingColumn(f"missing column {cfg.date_column!r}")
 
-    # per-asset maps date -> (o, h, l, c, line number)
+    # per-asset maps date -> (close, line number)
     cells: dict[str, dict[str, tuple]] = {}
 
     if cfg.layout == "long":
@@ -185,8 +178,10 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
             asset = row[col[cfg.asset_column]].strip()
             per_asset = cells.setdefault(asset, {})
             if date in per_asset:
-                raise MalformedRow(f"line {line_no} repeats date {date}, asset {asset!r} of line {per_asset[date][4]}")
-            per_asset[date] = (*(_parse_price(row[col[name]], line_no, name) for name in price_cols), line_no)
+                raise MalformedRow(f"line {line_no} repeats date {date}, asset {asset!r} of line {per_asset[date][1]}")
+            # open, high and low are checked like the close, then dropped
+            *_, close = (_parse_price(row[col[name]], line_no, name) for name in price_cols)
+            per_asset[date] = (close, line_no)
     else:  # wide
         asset_cols = [(name, i) for name, i in col.items() if name != cfg.date_column]
         if not asset_cols:
@@ -205,10 +200,9 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
                 text = row[i].strip() if i < len(row) else ""
                 if not text or text.lower() in ("na", "nan", "null"):
                     continue  # missing cell: the date drops out of the intersection
-                c = _parse_price(text, line_no, name)
-                cells.setdefault(name, {})[date] = (c, c, c, c, line_no)
+                cells.setdefault(name, {})[date] = (_parse_price(text, line_no, name), line_no)
 
-    del rows  # parsed: free the text before the panels are built
+    del rows  # parsed: free the text before the panel is built
     if not cells:
         raise EmptyIntersection(f"{path} has no data rows")
 
@@ -221,29 +215,28 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
     dates = sorted(shared)
     assets = sorted(cells)
 
-    # one (T, N) panel per price field, in PRICE_FIELDS order, then the line numbers
-    panels = np.array([[cells[asset][date] for asset in assets] for date in dates]).transpose(2, 0, 1)[:4].copy()
-    return OhlcvSeries(asset_ids=assets, dates=dates, **dict(zip(PRICE_FIELDS, panels)))
+    close = np.array([[cells[asset][date][0] for asset in assets] for date in dates])
+    return OhlcvSeries(asset_ids=assets, dates=dates, close=close)
 
 
 def write_ohlcv_csv(series: OhlcvSeries, path):
-    """Write the long-format CSV understood by :func:`load_ohlcv`."""
+    """Write the long-format CSV understood by :func:`load_ohlcv`.
+
+    Open, high and low are derived from the closes: a day opens at the
+    previous close (the first day at its own close), and its high and low
+    are the larger and the smaller of its open and close.
+    """
+    close = series.close
+    open_ = np.vstack([close[:1], close[:-1]])
+    # (T, N, 4) Python floats in column order; repr is the shortest exact text
+    days = np.stack([open_, np.maximum(open_, close), np.minimum(open_, close), close], axis=-1).tolist()
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["date", "asset", "open", "high", "low", "close"])
-            for i, date in enumerate(series.dates):
-                for j, asset in enumerate(series.asset_ids):
-                    writer.writerow(
-                        [
-                            date,
-                            asset,
-                            repr(float(series.open[i, j])),
-                            repr(float(series.high[i, j])),
-                            repr(float(series.low[i, j])),
-                            repr(float(series.close[i, j])),
-                        ]
-                    )
+            for date, day in zip(series.dates, days):
+                for asset, prices in zip(series.asset_ids, day):
+                    writer.writerow([date, asset, *map(repr, prices)])
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -357,17 +350,10 @@ def synth_generate(
             first = day - steps + int(np.argmin(finite))
             raise NonPositivePrice(f"regimes[{i}] makes a close that is not finite on day {first}")
 
-    open_ = np.empty_like(close)
-    open_[0] = close[0]
-    open_[1:] = close[:-1]
-    high = np.maximum(open_, close)
-    low = np.minimum(open_, close)
     base = dt.date.fromisoformat(start_date)
     dates = [(base + dt.timedelta(days=i)).isoformat() for i in range(total)]
     assets = [f"{asset_prefix}{j + 1}" for j in range(n_assets)]
-    return OhlcvSeries(
-        asset_ids=assets, dates=dates, open=open_, high=high, low=low, close=close
-    )
+    return OhlcvSeries(asset_ids=assets, dates=dates, close=close)
 
 
 def synth_from_spec(spec) -> OhlcvSeries:

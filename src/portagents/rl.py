@@ -64,16 +64,15 @@ class RewardSummary:
     j_divergence: float
 
 
-def per_step_reward(growth: float, a_rl, a_final, config: RewardConfig) -> float:
-    """lambda1 * log(growth) - lambda2 * JSD(a_rl || a_final).
+def per_step_reward(growth: float, jsd: float, config: RewardConfig) -> float:
+    """lambda1 * log(growth) - lambda2 * jsd.
 
-    ``growth`` is the per-step capital ratio C_t / C_{t-1}.
+    ``growth`` is the per-step capital ratio C_t / C_{t-1} and ``jsd`` the
+    step's JSD(a_rl || a_final).
     """
     if not growth > 0.0:
         raise NonPositiveGrowth(f"growth {growth} must be positive")
-    return config.lambda1 * float(np.log(growth)) - config.lambda2 * jensen_shannon(
-        a_rl, a_final
-    )
+    return config.lambda1 * float(np.log(growth)) - config.lambda2 * jsd
 
 
 def episode_reward(growth_rates, jsd_terms, c0: float, config: RewardConfig) -> RewardSummary:

@@ -8,20 +8,12 @@ from portagents.market_data import OhlcvSeries
 
 
 def series_from_close(close, prefix="A", start="2000-01-03"):
-    """Wrap a (T, N) close matrix into a full OHLCV panel."""
+    """Wrap a (T, N) close matrix into a series on consecutive dates."""
     close = np.asarray(close, dtype=np.float64)
     t, n = close.shape
     d0 = dt.date.fromisoformat(start)
     dates = [(d0 + dt.timedelta(days=i)).isoformat() for i in range(t)]
-    open_ = np.vstack([close[:1], close[:-1]])
-    return OhlcvSeries(
-        asset_ids=[f"{prefix}{i}" for i in range(1, n + 1)],
-        dates=dates,
-        open=open_,
-        high=np.maximum(open_, close),
-        low=np.minimum(open_, close),
-        close=close,
-    )
+    return OhlcvSeries(asset_ids=[f"{prefix}{i}" for i in range(1, n + 1)], dates=dates, close=close)
 
 
 def random_simplex(rng, n):

@@ -116,7 +116,7 @@ def test_02_reward_correctness():
         for g in growths:
             a_rl = random_simplex(rng, n)
             a_fin = random_simplex(rng, n)
-            steps.append(per_step_reward(float(g), a_rl, a_fin, cfg))
+            steps.append(per_step_reward(float(g), jensen_shannon(a_rl, a_fin), cfg))
             jsds.append(jensen_shannon(a_rl, a_fin))
         summary = episode_reward(growths, jsds, c0, cfg)
         identity = cfg.lambda1 * np.log(c0) / t_len + float(np.mean(steps))
@@ -442,8 +442,7 @@ def test_07_pipeline_conformance(monkeypatch):
             replay_ok &= pay["next_obs_day"] == pay["obs_day"] + 1
             expected = per_step_reward(
                 payload("execute", step)["growth"],
-                payload("rl", step)["a_rl"],
-                payload("compose", step)["a_final"],
+                jensen_shannon(payload("rl", step)["a_rl"], payload("compose", step)["a_final"]),
                 cfg.reward,
             )
             replay_ok &= abs(buf.reward[i, 0] - expected) <= 1e-12

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from portagents import harness
 from portagents.cli import main
 from portagents.config import RunConfig
 from portagents.env import TradingEnv
+from portagents.errors import NonPositivePrice
 from portagents.harness import backtest, observer_from_state
 from portagents.market_data import load_ohlcv
 from portagents.rl import Td3Agent, load_agent
@@ -65,6 +67,21 @@ def test_synth_writes_loadable_csv(config_path, tmp_path, capsys):
     first = read_bytes(out)
     main(["synth", "--config", config_path, "--out", str(out)])
     assert read_bytes(out) == first
+
+
+def test_synth_writes_the_synth_block_beside_a_file(config_path, tmp_path, capsys):
+    # a data block with both: the run commands read the file, synth writes data.synth
+    small = tmp_path / "small.csv"
+    rows = "".join(f"2020-01-0{d},X,{d},{d},{d},{d}\n" for d in range(1, 6))
+    small.write_text("date,asset,open,high,low,close\n" + rows)
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({**CONFIG, "data": {**CONFIG["data"], "file": str(small)}}))
+    assert RunConfig.from_json_file(both).load_series().n_days == 5
+    assert main(["synth", "--config", config_path, "--out", str(tmp_path / "synth.csv")]) == 0
+    capsys.readouterr()
+    assert main(["synth", "--config", str(both), "--out", str(tmp_path / "both.csv")]) == 0
+    assert "wrote 120 days x 2 assets" in capsys.readouterr().out
+    assert read_bytes(tmp_path / "both.csv") == read_bytes(tmp_path / "synth.csv")
 
 
 def test_train_then_backtest_from_checkpoint(config_path, tmp_path, capsys):
@@ -403,6 +420,27 @@ def test_exit_code_3_on_non_finite_close(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("column", ["open", "high", "low"])
+def test_exit_code_3_on_bad_open_high_or_low(column, value, tmp_path, capsys):
+    # a series keeps only the closes, but a long CSV's other price cells are checked too
+    header = "date,asset,open,high,low,close"
+    lines = [header] + [f"2020-01-0{day},{asset},100,100,100,100" for day in range(1, 4) for asset in ("AAA", "BBB")]
+    fields = lines[3].split(",")  # line 4 of the file
+    fields[header.split(",").index(column)] = value
+    lines[3] = ",".join(fields)
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    message = f"line 4: {column} = "
+    with pytest.raises(NonPositivePrice, match=re.escape(message)):
+        load_ohlcv(csv_path)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**CONFIG, "data": {"file": str(csv_path)}}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
 
 
 def set_close(line: str, close: str) -> str:

@@ -1,6 +1,6 @@
 """Golden fixture: SHA-256 of the reports that `compare`, `ablate` and
-`backtest` (training in process) write, and of the checkpoint and report
-that `train` writes.
+`backtest` (training in process) write, of the checkpoint and report that
+`train` writes, and of the CSV that `synth` writes.
 
 A change to any number in these files, or to a checkpoint byte, changes a
 hash. Only a change that says it changes numbers may update GOLDEN; print
@@ -29,10 +29,17 @@ RUNS = {
     ("triple-mlp", "train"): MLP_CONFIG,
     ("pipeline", "backtest"): PIPELINE_CONFIG,
     ("triple-mlp", "backtest"): MLP_CONFIG,
+    ("pipeline", "synth"): PIPELINE_CONFIG,
 }
 
 # options each command writes its reports with
-OPTIONS = {"compare": ["--formats", "json,csv"], "ablate": ["--formats", "json,csv"], "train": [], "backtest": []}
+OPTIONS = {
+    "compare": ["--formats", "json,csv"],
+    "ablate": ["--formats", "json,csv"],
+    "train": [],
+    "backtest": [],
+    "synth": [],
+}
 
 # (config name, command) -> {report file: sha256}
 GOLDEN = {
@@ -62,6 +69,9 @@ GOLDEN = {
     ("triple-mlp", "backtest"): {
         "backtest_report.json": "0ce3446c0f3d98c21cf449899e01998fe4cd24c71ad5368efbeb59873ba3ce57",
     },
+    ("pipeline", "synth"): {
+        "prices.csv": "58ebb391486b3918f5a9a00232cf0bac6293a42b4db793a4bb7bab195aa031fe",
+    },
 }
 
 
@@ -69,7 +79,9 @@ def report_hashes(name: str, command: str, work: Path) -> dict:
     config = work / f"{name}.json"
     config.write_text(json.dumps(RUNS[name, command]))
     out = work / name / command
-    assert main([command, "--config", str(config), "--out", str(out), *OPTIONS[command]]) == 0
+    # synth's --out is the CSV itself, the others' a directory
+    target = out / "prices.csv" if command == "synth" else out
+    assert main([command, "--config", str(config), "--out", str(target), *OPTIONS[command]]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 

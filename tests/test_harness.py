@@ -31,7 +31,7 @@ from portagents.harness import (
 from portagents.market_data import OhlcvSeries
 from portagents.metrics import sigma_alpha_value, uniform_weights
 from portagents.observer import DcObserver, MlpObserver, ObserverConfig
-from portagents.rl import RewardConfig, episode_reward, load_agent, per_step_reward
+from portagents.rl import RewardConfig, episode_reward, jensen_shannon, load_agent, per_step_reward
 from test_acceptance import PIPELINE_CONFIG
 from test_relatives_oracle import ReturnsMatrix, returns_matrix
 from test_relatives_oracle import old_rolling_covariance as rolling_covariance
@@ -203,7 +203,7 @@ def test_stored_tuple_matches_pipeline_events():
     for t in range(n_steps):
         a_rl, a_final = payload("rl", t)["a_rl"], payload("compose", t)["a_final"]
         np.testing.assert_array_equal(buf.a_final[t + 1], a_final)
-        expected_reward = per_step_reward(payload("execute", t)["growth"], a_rl, a_final, cfg.reward)
+        expected_reward = per_step_reward(payload("execute", t)["growth"], jensen_shannon(a_rl, a_final), cfg.reward)
         assert buf.reward[t + 1, 0] == expected_reward
         np.testing.assert_array_equal(buf.obs[t + 1, :width], market_window(start + t))
         np.testing.assert_array_equal(buf.next_obs[t + 1, :width], market_window(start + t + 1))

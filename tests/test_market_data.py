@@ -125,8 +125,6 @@ def test_wide_layout(tmp_path):
     series = load_ohlcv(path, LoadConfig(layout="wide"))
     assert series.asset_ids == ["AAA", "BBB"]
     np.testing.assert_allclose(series.close, [[1.0, 2.0], [1.1, 2.2]])
-    # wide layout reuses close for all four price fields
-    np.testing.assert_allclose(series.open, series.close)
 
 
 @pytest.mark.parametrize(
@@ -179,8 +177,7 @@ def test_csv_roundtrip(tmp_path):
     back = load_ohlcv(path, LoadConfig())
     assert back.asset_ids == series.asset_ids
     assert back.dates == series.dates
-    for name in ("open", "high", "low", "close"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(series, name))
+    np.testing.assert_array_equal(back.close, series.close)
 
 
 # OhlcvSeries.relatives(): row t-1 holds day t's relatives close[t]/close[t-1]
@@ -323,14 +320,20 @@ def test_synth_equals_the_per_day_loop():
         assert np.array_equal(got, loop_synth_close(regimes, n, seed))
 
 
-def test_synth_regime_lengths_and_ohlc_sanity():
+def test_synth_regime_lengths_and_ohlc_sanity(tmp_path):
     series = synth_generate(
         [Regime(0.0005, 0.01, 30), Regime(-0.002, 0.04, 20)], n_assets=3, seed=21
     )
     assert series.n_days == 50
-    assert np.all(series.high >= series.close) and np.all(series.high >= series.open)
-    assert np.all(series.low <= series.close) and np.all(series.low <= series.open)
-    np.testing.assert_array_equal(series.open[1:], series.close[:-1])
+    # the written CSV's (T, N) open, high, low and close columns
+    path = tmp_path / "out.csv"
+    write_ohlcv_csv(series, path)
+    table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3, 4, 5)).reshape(50, 3, 4)
+    open_, high, low, close = table.transpose(2, 0, 1)
+    np.testing.assert_array_equal(close, series.close)
+    assert np.all(high >= np.maximum(open_, close))
+    assert np.all(low <= np.minimum(open_, close))
+    np.testing.assert_array_equal(open_[1:], close[:-1])
 
 
 def test_synth_rejects_unknown_regime_field():

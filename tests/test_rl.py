@@ -82,18 +82,18 @@ def test_jsd_rejects_shape_mismatch():
 
 def test_per_step_reward_flat_growth_identical_actions():
     w = np.array([0.5, 0.5])
-    assert per_step_reward(1.0, w, w, RewardConfig()) == 0.0
+    assert per_step_reward(1.0, jensen_shannon(w, w), RewardConfig()) == 0.0
 
 
 def test_per_step_reward_divergence_penalty():
-    got = per_step_reward(1.0, [1.0, 0.0], [0.0, 1.0], RewardConfig(1.0, 1.0))
+    got = per_step_reward(1.0, jensen_shannon([1.0, 0.0], [0.0, 1.0]), RewardConfig(1.0, 1.0))
     assert got == pytest.approx(-LN2, abs=1e-15)
 
 
 def test_per_step_reward_rejects_non_positive_growth():
     w = np.array([1.0, 0.0])
     with pytest.raises(NonPositiveGrowth):
-        per_step_reward(0.0, w, w, RewardConfig())
+        per_step_reward(0.0, jensen_shannon(w, w), RewardConfig())
 
 
 def test_episode_reward_flat():
@@ -125,7 +125,7 @@ def test_episode_reward_matches_per_step_aggregation():
         actions = [(random_simplex(rng, 4), random_simplex(rng, 4)) for _ in range(t)]
         jsds = [jensen_shannon(a, b) for a, b in actions]
         steps = [
-            per_step_reward(g, a, b, config) for g, (a, b) in zip(growths, actions)
+            per_step_reward(g, jensen_shannon(a, b), config) for g, (a, b) in zip(growths, actions)
         ]
         want = config.lambda1 * np.log(c0) / t + np.mean(steps)
         got = episode_reward(growths, jsds, c0, config).j
@@ -146,7 +146,7 @@ def test_episode_reward_identity(lambdas, c0, t, seed):
     growths = rng.uniform(0.5, 1.5, size=t)
     actions = [(random_simplex(rng, 3), random_simplex(rng, 3)) for _ in range(t)]
     jsds = [jensen_shannon(a, b) for a, b in actions]
-    steps = sum(per_step_reward(g, a, b, config) for g, (a, b) in zip(growths, actions))
+    steps = sum(per_step_reward(g, jensen_shannon(a, b), config) for g, (a, b) in zip(growths, actions))
     got = t * episode_reward(growths, jsds, c0, config).j - config.lambda1 * np.log(c0)
     assert got == pytest.approx(steps, rel=1e-9, abs=1e-9)
 
