@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +145,9 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
     Assets are aligned on the intersection of their date sets; no values are
     imputed. A long-layout row must have as many fields as the header, and a
     wide-layout row no more; no (date, asset), or in the wide layout no date,
-    may repeat. Raises MissingColumn, MalformedRow, UnparseableDate,
-    NonPositivePrice or EmptyIntersection on bad input.
+    may repeat, nor may a column that is read (in the wide layout, any
+    column) appear twice in the header. Raises MissingColumn, MalformedRow,
+    UnparseableDate, NonPositivePrice or EmptyIntersection on bad input.
     """
     cfg = config or LoadConfig()
     try:
@@ -157,6 +159,11 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
         raise EmptyIntersection(f"{path} is empty")
     header = [h.strip() for h in rows[0]]
     col = {name: i for i, name in enumerate(header)}
+    price_cols = (cfg.open_column, cfg.high_column, cfg.low_column, cfg.close_column)
+    counts = Counter(header)
+    for name in col if cfg.layout == "wide" else (cfg.date_column, cfg.asset_column, *price_cols):
+        if counts[name] > 1:
+            raise MalformedRow(f"line 1 repeats column {name!r}")
 
     if cfg.date_column not in col:
         raise MissingColumn(f"missing column {cfg.date_column!r}")
@@ -165,7 +172,6 @@ def load_ohlcv(path, config: LoadConfig | None = None) -> OhlcvSeries:
     cells: dict[str, dict[str, tuple]] = {}
 
     if cfg.layout == "long":
-        price_cols = (cfg.open_column, cfg.high_column, cfg.low_column, cfg.close_column)
         for name in (cfg.asset_column, *price_cols):
             if name not in col:
                 raise MissingColumn(f"missing column {name!r}")

@@ -9,6 +9,7 @@ and smoothing noise are injected on the logits before the softmax.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -26,7 +27,6 @@ from .errors import (
 LN2 = float(np.log(2.0))
 
 _MAGIC_AGENT = b"TD3A1\n"
-_NET_ORDER = ("actor", "actor_target", "critic1", "critic1_target", "critic2", "critic2_target")
 
 
 def jensen_shannon(p, q) -> float:
@@ -206,12 +206,6 @@ class Td3Agent:
         self.critics_opt = nn.AdamState.for_params(self.critics.flat, lr=self.config.lr)
         self.update_count = 0
 
-    def nets(self) -> dict[str, nn.DenseNet]:
-        """The six nets by their ``_NET_ORDER`` names, the critics as views
-        of their stack's rows."""
-        (q1, q2), (q1_target, q2_target) = self.critics.rows(), self.critics_target.rows()
-        return dict(zip(_NET_ORDER, (self.actor, self.actor_target, q1, q1_target, q2, q2_target)))
-
     # -- acting ---------------------------------------------------------
 
     def select_action(self, obs: np.ndarray, explore: bool = False) -> np.ndarray:
@@ -285,20 +279,21 @@ class Td3Agent:
 
 
 def save_agent(agent: Td3Agent, path, extra: dict | None = None):
-    """Single versioned binary archive of all six nets plus counters/config."""
-    nets = agent.nets()
+    """Single versioned binary archive of the actor, the one net that acting
+    reads, plus counters/config and the SHA-256 of the body."""
+    body = nn.net_param_bytes(agent.actor)
     header = {
         "format": "td3-agent",
-        "version": 1,
+        "version": 2,
         "obs_dim": agent.obs_dim,
         "n_assets": agent.n_assets,
         "seed": agent.seed,
         "update_count": agent.update_count,
         "config": asdict(agent.config),
         "extra": extra or {},
-        "nets": {name: nn.net_header(net) for name, net in nets.items()},
+        "nets": {"actor": nn.net_header(agent.actor)},
+        "body_sha256": hashlib.sha256(body).hexdigest(),
     }
-    body = b"".join(nn.net_param_bytes(net) for net in nets.values())
     try:
         with open(path, "wb") as fh:
             fh.write(_MAGIC_AGENT)
@@ -321,6 +316,7 @@ class AgentHeader:
     nets: dict
     seed: int = 0
     extra: dict = field(default_factory=dict)
+    body_sha256: str | None = None  # version 2 only
 
     def __post_init__(self):
         if min(self.obs_dim, self.n_assets) < 1 or min(self.update_count, self.seed) < 0:
@@ -330,13 +326,14 @@ class AgentHeader:
 def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None, hidden=None) -> tuple[Td3Agent, dict]:
     """Rebuild an agent from :func:`save_agent`; returns (agent, extra).
 
-    The agent is the one ``Td3Agent`` builds from the header's dimensions
-    and config, its nets filled from the body in ``_NET_ORDER``. A header
-    that cannot be parsed or has a value of the wrong type or range, a body
-    that does not hold one float64 per parameter, or a ``nets`` block that
-    does not describe the built nets raises ``IoFailure``. Dimensions or
-    hidden sizes other than the given ones raise ``ConfigError``, before
-    any net is built.
+    Only the actor is read: version 2 holds it alone and the body's SHA-256,
+    version 1 six nets, the actor first, and no checksum. The critics, target
+    nets and Adam states are the ones ``Td3Agent`` builds from the header's
+    dimensions and config; nothing reads them after a load. A header that
+    cannot be parsed or has a value of the wrong type or range, a body of the
+    wrong length or checksum, or a ``nets`` block that does not describe the
+    built nets raises ``IoFailure``. Dimensions or hidden sizes other than
+    the given ones raise ``ConfigError``, before any net is built.
     """
     try:
         with open(path, "rb") as fh:
@@ -351,15 +348,18 @@ def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None, hi
 
     try:
         header = json.loads(header_line)
-        if not isinstance(header, dict) or (header.get("version"), header.get("format")) != (1, "td3-agent"):
+        if not isinstance(header, dict) or header.get("format") != "td3-agent" or header.get("version") not in (1, 2):
             raise IoFailure(f"unsupported agent checkpoint header in {path}")
         head = from_json(AgentHeader, header, "checkpoint")
     except (ValueError, ConfigError) as exc:
         raise IoFailure(f"corrupt agent checkpoint {path}: {exc}") from exc
-    actor, critic = _net_sizes(head.obs_dim, head.n_assets, head.config.hidden)
-    count = sum(k * out * (n_in + 1) for k, s in ((2, actor), (4, critic)) for n_in, out in zip(s, s[1:]))
+    sizes = _net_sizes(head.obs_dim, head.n_assets, head.config.hidden)
+    n_actor, n_critic = (sum(out * (n_in + 1) for n_in, out in zip(s, s[1:])) for s in sizes)
+    count = n_actor if head.version == 2 else 2 * n_actor + 4 * n_critic
     if len(raw) != 8 * count:
         raise IoFailure(f"agent checkpoint {path} body holds {len(raw)} bytes, its header {8 * count}")
+    if head.version == 2 and head.body_sha256 != hashlib.sha256(raw).hexdigest():
+        raise IoFailure(f"agent checkpoint {path} body does not match its body_sha256 {head.body_sha256!r}")
     for field_name, want, got in (
         ("obs_dim", obs_dim, head.obs_dim),
         ("n_assets", n_assets, head.n_assets),
@@ -368,11 +368,11 @@ def load_agent(path, obs_dim: int | None = None, n_assets: int | None = None, hi
         if want is not None and got != want:
             raise ConfigError(f"checkpoint {path} has {field_name} {got}, the run config needs {want}")
     agent = Td3Agent(head.obs_dim, head.n_assets, head.config, seed=head.seed)
-    nets = agent.nets()
-    if head.nets != {name: nn.net_header(net) for name, net in nets.items()}:
+    v1_names = ("actor", "actor_target", "critic1", "critic1_target", "critic2", "critic2_target")
+    actor, critic = nn.net_header(agent.actor), nn.net_header(agent.critics)
+    nets = {"actor": actor} if head.version == 2 else {n: actor if n.startswith("actor") else critic for n in v1_names}
+    if head.nets != nets:
         raise IoFailure(f"agent checkpoint {path} has a nets block that its config does not build")
-    ends = np.cumsum([net.flat.size for net in nets.values()])
-    for net, part in zip(nets.values(), np.split(np.frombuffer(raw, dtype="<f8"), ends[:-1])):
-        net.flat[:] = part
+    agent.actor.flat[:] = np.frombuffer(raw, dtype="<f8", count=n_actor)
     agent.update_count = head.update_count
     return agent, head.extra

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, artifacts, byte-stable re-runs."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from portagents.harness import backtest, observer_from_state
 from portagents.market_data import load_ohlcv
 from portagents.rl import Td3Agent, load_agent
 from test_acceptance import PIPELINE_CONFIG
+from test_golden import GOLDEN
 
 CONFIG = {
     "data": {
@@ -459,9 +461,10 @@ def set_close(line: str, close: str) -> str:
         (lambda lines: lines[:5] + [set_close(lines[5], "1e300")] + lines[6:], "A1 on 2000-01-03 is 9.992620391987421e+297, outside [1e-06, 1e+06]"),
         (lambda lines: lines[:5] + [set_close(lines[5], "1e-300")] + lines[6:], "A1 on 2000-01-03 is 9.992620391987421e-303, outside [1e-06, 1e+06]"),
         (lambda lines: lines[:5] + [set_close(lines[5], "1e308")] + lines[6:], "A1 on 2000-01-03 is 9.99262039198742e+305, outside [1e-06, 1e+06]"),
+        (lambda lines: [lines[0] + ",close"] + [line + ",1.0" for line in lines[1:]], "line 1 repeats column 'close'"),
     ],
     ids=["short-row", "long-row", "repeated-date-and-asset", "relative-overflows",
-         "relative-above-bound", "relative-below-bound", "relative-near-max-float"],
+         "relative-above-bound", "relative-below-bound", "relative-near-max-float", "repeated-close-column"],
 )
 def test_exit_code_3_on_damaged_csv_row(damage, message, config_path, tmp_path, capsys):
     csv_path = tmp_path / "prices.csv"
@@ -591,6 +594,9 @@ def set_header(path: str, value):
         pytest.param(lambda blob: blob.replace(b'"format"', b'"format', 1), id="corrupt-header"),
         pytest.param(lambda blob: blob[:-100], id="body-short-by-100-bytes"),
         pytest.param(lambda blob: blob + b"junk", id="4-trailing-bytes"),
+        pytest.param(lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]), id="body-bit-flipped"),
+        pytest.param(set_header("body_sha256", DELETE), id="body-sha256-missing"),
+        pytest.param(set_header("version", 1), id="version-1-on-a-version-2-body"),
         pytest.param(set_header("extra", 5), id="extra-not-object"),
         pytest.param(set_header("extra.observer", 5), id="observer-not-object"),
         pytest.param(set_header("extra.observer.kind", "zz"), id="observer-kind-unknown"),
@@ -607,7 +613,6 @@ def set_header(path: str, value):
         pytest.param(set_header("nets.actor", 5), id="nets-actor-number"),
         pytest.param(set_header("nets.actor.layers.2.activation", "tanh"), id="actor-activation-tanh"),
         pytest.param(set_header("nets.actor.layers.2.activation", "softmax"), id="actor-activation-softmax"),
-        pytest.param(set_header("nets.critic1.layers.0.activation", "linear"), id="critic1-activation-linear"),
         pytest.param(set_header("nets.actor.dtype", ">f8"), id="nets-actor-big-endian"),
         pytest.param(set_header("config.hidden", [8, 4]), id="config-hidden-not-the-nets"),
         pytest.param(set_header("config.hidden", [0, 8]), id="config-hidden-zero"),
@@ -618,6 +623,33 @@ def test_exit_code_3_on_damaged_checkpoint(damage, checkpoint_bytes, tmp_path, c
     assert run_backtest(tmp_path, CONFIG, checkpoint_bytes) == 0
     capsys.readouterr()
     assert run_backtest(tmp_path, CONFIG, damage(checkpoint_bytes)) == 3
+    err = capsys.readouterr().err
+    assert "checkpoint" in err
+    assert "Traceback" not in err
+
+
+# what `train` on PIPELINE_CONFIG wrote in checkpoint format version 1: six
+# nets (the actor first) and no checksum
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1.bin"
+
+
+def test_version_1_checkpoint_backtests_to_the_golden_report(tmp_path):
+    blob = V1_CHECKPOINT.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == "98d4ca9bc792ef50e82ee32197289c1bc23cfd83cc08cbcdbba2bee93b42dac4"
+    assert run_backtest(tmp_path, PIPELINE_CONFIG, blob) == 0
+    report = read_bytes(tmp_path / "bt" / "backtest_report.json")
+    assert hashlib.sha256(report).hexdigest() == GOLDEN["pipeline", "backtest"]["backtest_report.json"]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda blob: blob[:-100], id="body-short-by-100-bytes"),
+        pytest.param(set_header("nets.critic1.layers.0.activation", "linear"), id="critic1-activation-linear"),
+    ],
+)
+def test_exit_code_3_on_damaged_version_1_checkpoint(damage, tmp_path, capsys):
+    assert run_backtest(tmp_path, PIPELINE_CONFIG, damage(V1_CHECKPOINT.read_bytes())) == 3
     err = capsys.readouterr().err
     assert "checkpoint" in err
     assert "Traceback" not in err
@@ -672,7 +704,7 @@ HEADER_PATHS = (
     "update_count",
     "nets.actor",
     "nets.actor.layers",
-    "nets.critic1.dtype",
+    "body_sha256",
     "config.hidden",
     "config.lr",
 )

@@ -132,14 +132,30 @@ def test_wide_layout(tmp_path):
     [
         ("date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-01,1.1,2.2\n", "line 3 repeats date 2020-01-01 of line 2"),
         ("date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.2,3.3\n", "line 3 has 4 fields, the header 3"),
+        ("date,AAA,AAA,BBB\n2020-01-01,1.0,5.0,2.0\n2020-01-02,1.1,5.5,2.2\n", "line 1 repeats column 'AAA'"),
     ],
-    ids=["repeated-date", "long-row"],
+    ids=["repeated-date", "long-row", "repeated-column"],
 )
 def test_wide_layout_rejects_bad_rows(tmp_path, text, message):
     path = tmp_path / "w.csv"
     path.write_text(text)
     with pytest.raises(MalformedRow, match=re.escape(message)):
         load_ohlcv(path, LoadConfig(layout="wide"))
+
+
+@pytest.mark.parametrize("name", ["date", "asset", "open", "high", "low", "close"])
+def test_long_layout_rejects_a_repeated_column_it_reads(name, tmp_path):
+    # the loader used to read the last column of that name
+    path = tmp_path / "p.csv"
+    path.write_text(f"{LONG_HEADER.strip()},{name}\n2020-01-01,AAA,1,1,1,1,2020-01-02\n")
+    with pytest.raises(MalformedRow, match=re.escape(f"line 1 repeats column {name!r}")):
+        load_ohlcv(path, LoadConfig())
+
+
+def test_long_layout_allows_a_repeated_column_it_does_not_read(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(f"{LONG_HEADER.strip()},volume,volume\n2020-01-01,AAA,1,1,1,1,7,7\n2020-01-02,AAA,2,2,2,2,7,7\n")
+    np.testing.assert_array_equal(load_ohlcv(path, LoadConfig()).close[:, 0], [1.0, 2.0])
 
 
 def test_wide_layout_short_row_leaves_its_date_out(tmp_path):

@@ -13,7 +13,6 @@ from test_nn import ArrayNet, ListAdamState, assert_layers_view, flatten, list_a
 from portagents import nn
 from portagents.errors import DimensionMismatch, InsufficientBuffer, NonPositiveGrowth
 from portagents.rl import (
-    _NET_ORDER,
     LN2,
     ReplayBuffer,
     RewardConfig,
@@ -36,6 +35,13 @@ def fill_buffer(n, obs_dim=5, n_assets=3, seed=0):
         a = rng.dirichlet(np.ones(n_assets))
         buf.push(rng.normal(size=obs_dim), a, rng.normal(size=obs_dim), float(rng.normal(scale=0.01)))
     return buf
+
+
+def six_nets(agent: Td3Agent) -> dict[str, nn.DenseNet]:
+    """The agent's nets by name, each critic a view of its stack's row."""
+    (q1, q2), (q1_target, q2_target) = agent.critics.rows(), agent.critics_target.rows()
+    return {"actor": agent.actor, "actor_target": agent.actor_target, "critic1": q1,
+            "critic1_target": q1_target, "critic2": q2, "critic2_target": q2_target}
 
 
 # -- Jensen-Shannon ------------------------------------------------------------
@@ -249,8 +255,9 @@ def test_td_targets_use_elementwise_min_of_twin_critics():
     noise = clone.config.sigma_smooth * clone.noise_rng.standard_normal(logits.shape)
     noise = np.clip(noise, -clone.config.noise_clip, clone.config.noise_clip)
     q_in = np.concatenate([obs_next, nn.softmax(logits + noise)], axis=1)
-    q1, _ = nn.forward(clone.nets()["critic1_target"], q_in)
-    q2, _ = nn.forward(clone.nets()["critic2_target"], q_in)
+    q1_target, q2_target = clone.critics_target.rows()
+    q1, _ = nn.forward(q1_target, q_in)
+    q2, _ = nn.forward(q2_target, q_in)
     min_q = np.minimum(q1, q2)
     np.testing.assert_allclose(targets, rewards + clone.config.gamma * min_q, atol=1e-12)
     assert np.all(min_q <= q1 + 1e-15) and np.all(min_q <= q2 + 1e-15)
@@ -315,15 +322,15 @@ def test_agent_save_load_roundtrip(tmp_path):
     assert back.config == agent.config
     obs = np.linspace(0, 1, 6)
     np.testing.assert_array_equal(back.select_action(obs), agent.select_action(obs))
-    for name in _NET_ORDER:
-        net, twin = agent.nets()[name], back.nets()[name]
-        assert [l.activation for l in twin.layers] == [l.activation for l in net.layers]
-        for p, q in zip(net.params(), twin.params()):
-            np.testing.assert_array_equal(p, q)
-        assert_layers_view(twin)
-    # byte-identical on re-save
+    assert [l.activation for l in back.actor.layers] == [l.activation for l in agent.actor.layers]
+    for p, q in zip(agent.actor.params(), back.actor.params()):
+        np.testing.assert_array_equal(p, q)
+    assert_layers_view(back.actor)
+    # byte-identical on re-save; the body is the actor's float64s alone
     save_agent(back, tmp_path / "agent2.bin", extra={"note": "roundtrip"})
-    assert (tmp_path / "agent.bin").read_bytes() == (tmp_path / "agent2.bin").read_bytes()
+    blob = (tmp_path / "agent.bin").read_bytes()
+    assert blob == (tmp_path / "agent2.bin").read_bytes()
+    assert len(blob.split(b"\n", 2)[2]) == 8 * agent.actor.flat.size
     # writable, and not the checkpoint's buffer; the optimiser starts afresh
     assert back.actor_opt.step == 0 and not np.any(back.actor_opt.m)
     back.actor.flat[:] = 0.0
@@ -334,10 +341,12 @@ def test_agent_save_load_roundtrip(tmp_path):
 def test_snapshot_keeps_each_net_tied_to_its_own_vector():
     agent = Td3Agent(obs_dim=5, n_assets=3, config=SMALL, seed=19)
     snap = agent.snapshot()
-    for name in _NET_ORDER:
-        net = snap.nets()[name]
+    for net in six_nets(snap).values():
         assert_layers_view(net)
-        assert not np.shares_memory(net.flat, agent.nets()[name].flat)
+    for name in ("actor", "actor_target", "critics", "critics_target"):
+        net = getattr(snap, name)
+        assert all(np.shares_memory(p, net.flat) for p in net.params())
+        assert not np.shares_memory(net.flat, getattr(agent, name).flat)
     w0 = snap.actor.layers[0].w.copy()
     nn.adam_step(snap.actor_opt, snap.actor.flat, np.ones_like(snap.actor.flat))
     assert np.all(snap.actor.layers[0].w < w0)
@@ -400,7 +409,7 @@ class ListTd3:
     def __init__(self, agent: Td3Agent):
         self.config, self.obs_dim = agent.config, agent.obs_dim
         self.noise_rng = copy.deepcopy(agent.noise_rng)
-        for name, net in agent.nets().items():
+        for name, net in six_nets(agent).items():
             setattr(self, name, ArrayNet(net))
         lr = self.config.lr
         self.actor_opt = ListAdamState.for_params(self.actor.params(), lr=lr)
@@ -511,7 +520,7 @@ def test_update_matches_list_buffer_and_per_array_learner(
     for _ in range(24):
         assert agent.update(ring) == twin.update(listed)
         push()
-    for name, net in agent.nets().items():
+    for name, net in six_nets(agent).items():
         assert np.array_equal(net.flat, flatten(getattr(twin, name).params())), name
     assert agent.noise_rng.bit_generator.state == twin.noise_rng.bit_generator.state
     assert ring.rng.bit_generator.state == listed.rng.bit_generator.state
