@@ -20,14 +20,15 @@ series = synth_generate(
     seed=13,
 )
 env = TradingEnv(series, window=5, c_tx=0.001, c0=1.0)
-print(f"{env.n_assets} assets, {env.n_steps} tradable steps")
+print(f"{env.n_assets} assets, {env.end_day - env.start_day} tradable steps")
 
-# an observation is the flattened relatives window + drifted holdings +
-# the observer's three market features
+# an observation is one vector: the flattened relatives window + drifted
+# holdings + the observer's three market features
 obs = env.reset()
-print(f"observation vector size {obs.vector.size} "
+print(f"observation vector size {obs.size} "
       f"(= {observation_dim(env.window, env.n_assets)})")
-print(f"holdings after reset {np.round(obs.holdings(), 4)}")
+held = env.window * env.n_assets
+print(f"holdings after reset {np.round(obs[held : held + env.n_assets], 4)}")
 
 # run a few steps: all-in on asset 1, then rebalance to uniform (costs bite)
 growths = []

@@ -230,10 +230,12 @@ class RunConfig:
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:  # JSON is UTF-8
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)

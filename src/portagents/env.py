@@ -1,9 +1,9 @@
 """Daily-rebalance trading environment.
 
 Orders placed at the day-t close earn the day t -> t+1 price relatives.
-Observations stack a lookback window of per-asset relatives, the current
-(drifted) holdings, and the market-vector features handed to the step that
-made them (zeros after a reset).
+An observation is one vector: a lookback window of per-asset relatives, the
+current (drifted) holdings, and the market-vector features handed to the step
+that made it (zeros after a reset). Its day is the env's ``state.day``.
 """
 
 from __future__ import annotations
@@ -18,21 +18,6 @@ from .metrics import check_weights, uniform_weights
 from .observer import N_MARKET_FEATURES
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Flattened [window relatives | holdings | market features] plus the
-    day index it was taken at."""
-
-    vector: np.ndarray
-    day: int
-    window: int
-    n_assets: int
-
-    def holdings(self) -> np.ndarray:
-        w, n = self.window, self.n_assets
-        return self.vector[w * n : w * n + n]
-
-
 def observation_dim(window: int, n_assets: int) -> int:
     return window * n_assets + n_assets + N_MARKET_FEATURES
 
@@ -43,8 +28,9 @@ def build_observation(
     window: int,
     holdings=None,
     market_features=None,
-) -> Observation:
-    """Observation for ``day`` using relatives of days day-window+1 .. day."""
+) -> np.ndarray:
+    """The [window relatives | holdings | market features] vector for
+    ``day``, with the relatives of days day-window+1 .. day."""
     n = series.n_assets
     if day < window or day > series.n_days - 1:
         raise SeriesTooShort(f"day {day} outside [{window}, {series.n_days - 1}]")
@@ -55,8 +41,7 @@ def build_observation(
         if market_features is None
         else np.asarray(market_features, dtype=np.float64)
     )
-    vector = np.concatenate([rel.ravel(), h, vm])
-    return Observation(vector=vector, day=day, window=window, n_assets=n)
+    return np.concatenate([rel.ravel(), h, vm])
 
 
 def drifted_holdings(holdings, relatives) -> np.ndarray:
@@ -119,11 +104,7 @@ class TradingEnv:
     def n_assets(self) -> int:
         return self.series.n_assets
 
-    @property
-    def n_steps(self) -> int:
-        return self.end_day - self.start_day
-
-    def observe(self, market_features=None) -> Observation:
+    def observe(self, market_features=None) -> np.ndarray:
         if self.state is None:
             raise EpisodeFinished("reset the environment first")
         return build_observation(
@@ -134,7 +115,7 @@ class TradingEnv:
             market_features=market_features,
         )
 
-    def reset(self) -> Observation:
+    def reset(self) -> np.ndarray:
         """Uniform holdings, full capital, day = start_day."""
         self.state = EnvState(
             day=self.start_day,
@@ -144,13 +125,13 @@ class TradingEnv:
         )
         return self.observe()
 
-    def step(self, action, market_features=None) -> tuple[Observation, float, bool]:
+    def step(self, action, market_features=None) -> tuple[np.ndarray, float, bool]:
         """Execute ``action`` at the current close; returns
         ``(next_observation, growth, done)`` with growth = C_new / C_old. The
         next observation carries ``market_features`` (zeros when None)."""
         if self.state is None or self.state.done:
             raise EpisodeFinished("episode is over; call reset()")
-        a = check_weights(action).copy()
+        a = check_weights(action)
         if market_features is not None and np.shape(market_features) != (N_MARKET_FEATURES,):
             raise ValueError(f"market features must have shape ({N_MARKET_FEATURES},)")
         s = self.state

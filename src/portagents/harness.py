@@ -121,7 +121,7 @@ def _env_for_segment(series, config: RunConfig, seg: tuple[int, int], need_risk:
 def _agent_policy(agent: Td3Agent, explore: bool):
     """The pass's ``policy(obs, weights, history) -> weights`` for an agent,
     which reads only the observation."""
-    return lambda obs, weights, history: agent.select_action(obs.vector, explore=explore)
+    return lambda obs, weights, history: agent.select_action(obs, explore=explore)
 
 
 def _run_pass(
@@ -169,25 +169,26 @@ def _run_pass(
         observer.reset()
     if buffer is not None:
         # the start tuple (o_0, uniform, uniform, o_0, 0): a zero-reward self-transition no trading day made
-        buffer.push(obs.vector, a_rl, obs.vector, 0.0)
-        record("store", episode, -1, obs_day=obs.day, next_obs_day=obs.day, a_final=a_rl, a_rl=a_rl, reward=0.0)
+        buffer.push(obs, a_rl, obs, 0.0)
+        record("store", episode, -1, obs_day=env.start_day, next_obs_day=env.start_day, a_final=a_rl, a_rl=a_rl, reward=0.0)
 
     equity = [env.c0]
     growths, jsds, risks, adjustments = [], [], [], []
     done = False
     step_i = 0
     while not done:
+        day = env.state.day
         sig = neutral
         if tier == "triple":
-            sig = observer.observe(relatives[config.env.window - 1 : obs.day])
+            sig = observer.observe(relatives[config.env.window - 1 : day])
             record("observer", episode, step_i, sigma_s=sig.sigma_s)
 
-        a_rl = policy(obs, a_rl, relatives[env.start_day - 1 : obs.day])
+        a_rl = policy(obs, a_rl, relatives[env.start_day - 1 : day])
         record("rl", episode, step_i, a_rl=a_rl)
 
         cov = None
         if need_risk:
-            cov = rolling_covariance(series, t=obs.day, k=k)
+            cov = rolling_covariance(series, t=day, k=k)
         if tier in ("dual", "triple"):
             problem = RiskControlProblem(
                 a_rl=a_rl,
@@ -232,13 +233,13 @@ def _run_pass(
 
         if buffer is not None:
             reward = per_step_reward(growth, jsd, reward_cfg)
-            buffer.push(obs.vector, a_final, next_obs.vector, reward)
+            buffer.push(obs, a_final, next_obs, reward)
             record(
                 "store",
                 episode,
                 step_i,
-                obs_day=obs.day,
-                next_obs_day=next_obs.day,
+                obs_day=day,
+                next_obs_day=env.state.day,
                 a_final=a_final,
                 a_rl=a_rl,
                 reward=reward,
@@ -284,14 +285,15 @@ class TrainResult:
         }
 
 
-def _check_training(series: OhlcvSeries, config: RunConfig) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The config's (train, val) segments; DataSplitTooSmall if either is too
-    short to step through, so that it fails before any training."""
+def _check_training(series: OhlcvSeries, config: RunConfig) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """The config's (train, val) segments and the train segment's step count;
+    DataSplitTooSmall if either segment is too short to step through, so that
+    it fails before any training."""
     train_seg, val_seg, _ = split_indices(series.n_days, config.splits)
-    _env_for_segment(series, config, train_seg, need_risk=config.tier != "single")
+    env = _env_for_segment(series, config, train_seg, need_risk=config.tier != "single")
     if val_seg[1] - val_seg[0] > 0:
         _env_for_segment(series, config, val_seg, need_risk=True)
-    return train_seg, val_seg
+    return train_seg, val_seg, env.end_day - env.start_day
 
 
 def train(
@@ -306,7 +308,7 @@ def train(
     seed = config.seed if seed is None else seed
     if series is None:
         series = config.load_series()
-    train_seg, val_seg = _check_training(series, config)
+    train_seg, val_seg, train_steps = _check_training(series, config)
     has_val = val_seg[1] - val_seg[0] > 0
 
     ss = np.random.SeedSequence(seed)
@@ -315,7 +317,10 @@ def train(
     ]
     obs_dim = observation_dim(config.env.window, series.n_assets)
     agent = Td3Agent(obs_dim, series.n_assets, config.agent, seed=agent_seed)
-    buffer = ReplayBuffer(config.agent.buffer_capacity, obs_dim, series.n_assets, seed=buffer_seed)
+    # each episode pushes its start tuple and one row a step: a ring with more
+    # rows than the run pushes never fills, so it is no larger
+    capacity = min(config.agent.buffer_capacity, config.max_episode * (train_steps + 1))
+    buffer = ReplayBuffer(capacity, obs_dim, series.n_assets, seed=buffer_seed)
     solver_rng = np.random.default_rng(solver_seed)
     observer = (
         make_observer(config.observer, seed=observer_seed)

@@ -25,7 +25,6 @@ def random_psd(rng, n, scale=1.0):
     return m @ m.T / n
 
 
-def relatives_window(obs):
-    """The (window, n_assets) block of price relatives in an observation."""
-    w, n = obs.window, obs.n_assets
-    return obs.vector[: w * n].reshape(w, n)
+def relatives_window(obs, window, n_assets):
+    """The (window, n_assets) block of price relatives in an observation vector."""
+    return obs[: window * n_assets].reshape(window, n_assets)

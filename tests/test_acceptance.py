@@ -420,7 +420,7 @@ def test_07_pipeline_conformance(monkeypatch):
     width = window * series.n_assets  # the relatives part of an observation
 
     def market_window(day):
-        return build_observation(series, day, window).vector[:width]
+        return build_observation(series, day, window)[:width]
 
     # replay memory: row 0 is the start tuple, row t+1 step t's transition,
     # each equal to the live pipeline values

@@ -120,6 +120,22 @@ def test_train_then_backtest_from_checkpoint(config_path, tmp_path, capsys):
         assert payload[key] == value
 
 
+def test_buffer_capacity_beyond_memory_trains_as_a_ring_of_the_rows_it_gets(tmp_path):
+    # a run pushes max_episode x (train steps + 1) rows: 10**12 of them would
+    # not fit in a 64-bit address space, but the ring holds no more than that
+    trained = {}
+    for capacity in (10**6, 10**12):
+        config = {**CONFIG, "max_episode": 2, "agent": {**CONFIG["agent"], "buffer_capacity": capacity}}
+        path = tmp_path / f"run{capacity}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"train{capacity}"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        curves = json.loads(read_bytes(out / "train_report.json"))["curves"]
+        actor = read_bytes(out / "checkpoint.bin").split(b"\n", 2)[2]  # after magic and header
+        trained[capacity] = curves, actor
+    assert trained[10**12] == trained[10**6]
+
+
 @pytest.mark.parametrize("kind", ["dc", "mlp"])
 def test_inprocess_backtest_equals_checkpoint_backtest(kind, tmp_path):
     # observer state left over from training must not reach the backtest
@@ -272,6 +288,11 @@ def test_exit_code_2_on_config_errors(tmp_path, config_path, capsys):
     out = str(tmp_path / "cmp")
     assert main(["compare", "--config", config_path, "--strategies", "triple-xyz", "--out", out]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # JSON is UTF-8: a config holding byte 0xff is a config error, not a traceback
+    bad.write_bytes(json.dumps(CONFIG).encode().replace(b'"triple"', b'"tri\xffple"', 1))
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err, err
     # out-of-range values: the message names the field
     for block, name, value in (
         ("agent", "batch_size", 0),

@@ -26,19 +26,20 @@ def test_observation_layout():
     series = two_asset_series()
     env = TradingEnv(series, window=3)
     obs = env.reset()
-    assert obs.vector.shape == (observation_dim(3, 2),)
-    assert obs.vector.size == 11  # 3*2 relatives + 2 holdings + 3 features
-    assert relatives_window(obs).shape == (3, 2)
-    np.testing.assert_allclose(obs.holdings(), [0.5, 0.5])
-    np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
+    assert isinstance(obs, np.ndarray)
+    assert obs.shape == (observation_dim(3, 2),)
+    assert obs.size == 11  # 3*2 relatives + 2 holdings + 3 features
+    assert relatives_window(obs, 3, 2).shape == (3, 2)
+    np.testing.assert_allclose(obs[6:8], [0.5, 0.5])  # the holdings
+    np.testing.assert_array_equal(obs[-3:], np.zeros(3))
 
 
 def test_observation_window_content():
     close = np.array([[100.0], [110.0], [121.0], [133.1], [150.0]])
     series = series_from_close(close)
     obs = build_observation(series, day=3, window=2)
-    np.testing.assert_allclose(relatives_window(obs).ravel(), [1.1, 1.1])
-    assert relatives_window(obs)[-1, 0] == pytest.approx(1.1)
+    np.testing.assert_allclose(relatives_window(obs, 2, 1).ravel(), [1.1, 1.1])
+    assert relatives_window(obs, 2, 1)[-1, 0] == pytest.approx(1.1)
 
 
 def test_build_observation_bounds():
@@ -57,7 +58,7 @@ def test_reset_state_and_determinism():
     assert env.state.capital == pytest.approx(250.0)
     env.step(np.array([1.0, 0.0]))
     b = env.reset()
-    np.testing.assert_array_equal(a.vector, b.vector)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_step_growth_doubling_asset():
@@ -111,7 +112,7 @@ def test_capital_compounds_product_of_growths():
         raw = rng.random(3)
         _, g, done = env.step(raw / raw.sum())
         growths.append(g)
-    assert len(growths) == env.n_steps
+    assert len(growths) == env.end_day - env.start_day
     assert env.state.capital == pytest.approx(10.0 * np.prod(growths), rel=1e-9)
 
 
@@ -143,9 +144,9 @@ def test_market_features_flow_into_observation():
     env = TradingEnv(two_asset_series(a_growth=1.01, b_growth=0.99), window=2)
     env.reset()
     obs, _, _ = env.step(np.array([0.5, 0.5]), np.array([1.0, 0.02, -0.5]))
-    np.testing.assert_array_equal(obs.vector[-3:], [1.0, 0.02, -0.5])
+    np.testing.assert_array_equal(obs[-3:], [1.0, 0.02, -0.5])
     obs, _, _ = env.step(np.array([0.5, 0.5]))
-    np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
+    np.testing.assert_array_equal(obs[-3:], np.zeros(3))
     # a wrong shape is refused before the step changes any state
     env.step(np.array([0.9, 0.1]))
     day, capital, holdings, done = env.state.day, env.state.capital, env.state.holdings.copy(), env.state.done
@@ -158,11 +159,11 @@ def test_market_features_flow_into_observation():
 
 def test_reset_clears_market_features():
     env = TradingEnv(two_asset_series(), window=2)
-    np.testing.assert_array_equal(env.reset().vector[-3:], np.zeros(3))
+    np.testing.assert_array_equal(env.reset()[-3:], np.zeros(3))
     obs, _, _ = env.step(np.array([0.5, 0.5]), [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(obs.vector[-3:], np.ones(3))
+    np.testing.assert_array_equal(obs[-3:], np.ones(3))
     obs = env.reset()
-    np.testing.assert_array_equal(obs.vector[-3:], np.zeros(3))
+    np.testing.assert_array_equal(obs[-3:], np.zeros(3))
 
 
 def test_constructor_bounds():
@@ -184,7 +185,6 @@ def test_segment_bounds_respected():
     env = TradingEnv(series, window=3, start_day=10, end_day=15)
     env.reset()
     assert env.state.day == 10
-    assert env.n_steps == 5
     steps = 0
     done = False
     while not done:

@@ -196,7 +196,7 @@ def test_stored_tuple_matches_pipeline_events():
         raise AssertionError(f"missing {stage}@{step}")
 
     def market_window(day):
-        return build_observation(series, day, cfg.env.window).vector[:width]
+        return build_observation(series, day, cfg.env.window)[:width]
 
     n_steps = trace.counters["rl"]
     assert len(buf) == n_steps + 1
@@ -459,8 +459,8 @@ def _run_strategy_pass(
     growths, risks = [], []
     done = False
     while not done:
-        weights = strategy.step(relatives_window(obs)[-1])
-        cov = rolling_covariance(returns, t=obs.day, k=k).matrix
+        weights = strategy.step(relatives_window(obs, env.window, env.n_assets)[-1])
+        cov = rolling_covariance(returns, t=env.state.day, k=k).matrix
         obs, growth, done = env.step(weights)
         equity.append(env.state.capital)
         growths.append(growth)

@@ -320,11 +320,11 @@ def _prefill_history(history, series, config, start_day):
         )
 
 
-def _index_growths(history) -> np.ndarray:
+def _index_growths(history, window: int, n_assets: int) -> np.ndarray:
     """Per-day equal-weight index growth factors from an observation window."""
     growths = np.empty(len(history))
     for i, obs in enumerate(history):
-        growths[i] = float(np.mean(relatives_window(obs)[-1]))
+        growths[i] = float(np.mean(relatives_window(obs, window, n_assets)[-1]))
     return growths
 
 
@@ -354,7 +354,8 @@ class OracleCheck:
         self.history.append(build_observation(self.series, self.day, self.config.env.window))
         self.day += 1
         new = self.observer.observe(relatives)
-        old = self.twin.observe(_index_growths(self.history)[:, None])
+        growths = _index_growths(self.history, self.config.env.window, self.series.n_assets)
+        old = self.twin.observe(growths[:, None])
         self.pairs.append((new, old))
         return new
 

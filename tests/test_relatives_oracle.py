@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import series_from_close
-from portagents.env import Observation, TradingEnv, build_observation, drifted_holdings
+from portagents.env import TradingEnv, build_observation, drifted_holdings
 from portagents.errors import EpisodeFinished, InsufficientHistory, SeriesTooShort
 from portagents.market_data import OhlcvSeries, rolling_covariance
 from portagents.metrics import check_weights, uniform_weights
@@ -89,8 +89,8 @@ def old_build_observation(
     window: int,
     holdings=None,
     market_features=None,
-) -> Observation:
-    """Observation for ``day`` using relatives of days day-window+1 .. day."""
+) -> np.ndarray:
+    """The observation vector for ``day`` using relatives of days day-window+1 .. day."""
     n = series.n_assets
     if day < window or day > series.n_days - 1:
         raise SeriesTooShort(f"day {day} outside [{window}, {series.n_days - 1}]")
@@ -101,15 +101,14 @@ def old_build_observation(
         if market_features is None
         else np.asarray(market_features, dtype=np.float64)
     )
-    vector = np.concatenate([rel.ravel(), h, vm])
-    return Observation(vector=vector, day=day, window=window, n_assets=n)
+    return np.concatenate([rel.ravel(), h, vm])
 
 
 class OldStepEnv(TradingEnv):
     """The environment with the earlier step, which divided two close rows,
     and the earlier observation."""
 
-    def observe(self, market_features=None) -> Observation:
+    def observe(self, market_features=None) -> np.ndarray:
         if self.state is None:
             raise EpisodeFinished("reset the environment first")
         return old_build_observation(
@@ -120,7 +119,7 @@ class OldStepEnv(TradingEnv):
             market_features=market_features,
         )
 
-    def step(self, action) -> tuple[Observation, float, bool]:
+    def step(self, action) -> tuple[np.ndarray, float, bool]:
         """Execute ``action`` at the current close; returns
         ``(next_observation, growth, done)`` with growth = C_new / C_old."""
         if self.state is None or self.state.done:
@@ -167,7 +166,7 @@ def test_sliced_relatives_equal_the_divisions(n_assets, n_days, window, k, seed)
         vm = rng.normal(size=N_MARKET_FEATURES)
         got = build_observation(series, day, window, holdings=h, market_features=vm)
         want = old_build_observation(series, day, window, holdings=h, market_features=vm)
-        assert np.array_equal(got.vector, want.vector)
+        assert np.array_equal(got, want)
 
     if n_days <= window + 1:
         return
@@ -180,7 +179,7 @@ def test_sliced_relatives_equal_the_divisions(n_assets, n_days, window, k, seed)
         new_obs, growth, done = new_env.step(a)
         old_obs, old_growth, old_done = old_env.step(a)
         assert growth == old_growth and done == old_done
-        assert np.array_equal(new_obs.vector, old_obs.vector)
+        assert np.array_equal(new_obs, old_obs)
     assert new_env.state.capital == old_env.state.capital
 
 

@@ -369,7 +369,7 @@ class Transition:
 
 
 def _vec(obs) -> np.ndarray:
-    return obs.vector if hasattr(obs, "vector") else np.asarray(obs, dtype=np.float64)
+    return np.asarray(obs, dtype=np.float64)
 
 
 class ListReplayBuffer:
