@@ -56,6 +56,13 @@ print(f"risk {result.achieved_risk:.6f} feasible={result.feasible} evals={result
 assert result.achieved_risk <= risk_rl
 print(f"risky-asset weight {a_rl[2]:.2f} -> {result.a_final[2]:.4f}")
 
+# a penalty this large makes the proposal itself the optimum: the risk
+# gradient projected onto the simplex (norm 6.5e-4) is shorter than mu, so
+# the search stops after its first population, which holds a_rl
+stiff = RiskControlProblem(a_rl=a_rl, cov=cov, sigma_s=boundary, mu=1e-3)
+kept = propose_control(stiff, budget=3000, seed=2, sigma_mode="target")
+print(f"\nmu 1e-3: evals={kept.evaluations} a_final == a_rl: {np.allclose(kept.a_final, a_rl, rtol=0, atol=1e-15)}")
+
 # a proposal already inside the boundary is returned untouched, no search
 calm = RiskControlProblem(a_rl=np.full(4, 0.25), cov=cov, sigma_s=1.0)
 noop = propose_control(calm, seed=2)

@@ -124,6 +124,9 @@ def _agent_policy(agent: Td3Agent, explore: bool):
     return lambda obs, weights, history: agent.select_action(obs, explore=explore)
 
 
+_TRAIN_PASS, _VALIDATION_PASS, _BACKTEST_PASS = range(3)  # the pass kinds of a solver key
+
+
 def _run_pass(
     policy,
     series: OhlcvSeries,
@@ -131,7 +134,7 @@ def _run_pass(
     seg: tuple[int, int],
     *,
     tier: str,
-    solver_rng: np.random.Generator,
+    solver_key: tuple[int, int, int],
     observer=None,
     learner: Td3Agent | None = None,
     buffer: ReplayBuffer | None = None,
@@ -150,6 +153,14 @@ def _run_pass(
     tracked on every pass that does not learn, and on every tier above
     ``single``. A ``trace`` records each stage as it runs under its step
     index; the start tuple and the observer update record under step -1.
+
+    The solver call of step i seeds its own DE generator with
+    ``[*solver_key, i]``, so a call that stops early or runs no DE leaves the
+    draws of the calls after it as they were. ``solver_key`` is
+    (seed, pass kind, episode), with the kind one of ``_TRAIN_PASS``,
+    ``_VALIDATION_PASS`` and ``_BACKTEST_PASS``: the training pass of an
+    episode, the validation pass after it and a backtest get distinct keys
+    by construction.
     """
     need_risk = tier != "single" or learner is None
     env = _env_for_segment(series, config, seg, need_risk=need_risk)
@@ -200,7 +211,7 @@ def _run_pass(
             result = propose_control(
                 problem,
                 budget=config.solver.budget,
-                seed=solver_rng,
+                seed=[*solver_key, step_i],
                 population=config.solver.population,
                 f=config.solver.f,
                 cr=config.solver.cr,
@@ -287,13 +298,26 @@ class TrainResult:
 
 def _check_training(series: OhlcvSeries, config: RunConfig) -> tuple[tuple[int, int], tuple[int, int], int]:
     """The config's (train, val) segments and the train segment's step count;
-    DataSplitTooSmall if either segment is too short to step through, so that
-    it fails before any training."""
+    DataSplitTooSmall if either segment is too short to step through, and
+    ConfigError if the replay buffer never holds the warmup or a batch, so
+    that either fails before any training."""
     train_seg, val_seg, _ = split_indices(series.n_days, config.splits)
     env = _env_for_segment(series, config, train_seg, need_risk=config.tier != "single")
     if val_seg[1] - val_seg[0] > 0:
         _env_for_segment(series, config, val_seg, need_risk=True)
-    return train_seg, val_seg, env.end_day - env.start_day
+    train_steps = env.end_day - env.start_day
+    # each episode pushes its start tuple and one row a step, and the last
+    # update check comes before the last step's push
+    rows = config.max_episode * (train_steps + 1) - 1
+    agent = config.agent
+    for name in ("warmup", "batch_size"):
+        if getattr(agent, name) > rows:
+            raise ConfigError(
+                f"agent.{name} {getattr(agent, name)} > the {rows} rows the replay buffer holds "
+                f"by the last update ({config.max_episode} episodes of {train_steps} steps): "
+                "TD3 would never update"
+            )
+    return train_seg, val_seg, train_steps
 
 
 def train(
@@ -321,7 +345,6 @@ def train(
     # rows than the run pushes never fills, so it is no larger
     capacity = min(config.agent.buffer_capacity, config.max_episode * (train_steps + 1))
     buffer = ReplayBuffer(capacity, obs_dim, series.n_assets, seed=buffer_seed)
-    solver_rng = np.random.default_rng(solver_seed)
     observer = (
         make_observer(config.observer, seed=observer_seed)
         if config.tier == "triple"
@@ -342,7 +365,7 @@ def train(
             observer=observer,
             learner=agent,
             buffer=buffer,
-            solver_rng=solver_rng,
+            solver_key=(solver_seed, _TRAIN_PASS, episode),
             trace=trace,
             episode=episode,
         )
@@ -354,7 +377,7 @@ def train(
                 val_seg,
                 tier=config.tier,
                 observer=observer,
-                solver_rng=np.random.default_rng(solver_seed + episode),
+                solver_key=(solver_seed, _VALIDATION_PASS, episode),
             )
             val_j = val.j
         else:
@@ -431,7 +454,7 @@ def backtest(
         seg,
         tier=tier,
         observer=observer,
-        solver_rng=np.random.default_rng(seed + 104729),
+        solver_key=(seed, _BACKTEST_PASS, 0),
         trace=trace,
     )
     report = build_report(

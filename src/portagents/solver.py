@@ -92,7 +92,7 @@ def differential_evolution(
         raise BudgetTooSmall(f"population {population} must be >= 4 for DE/rand/1")
     if budget < population:
         raise BudgetTooSmall(f"budget {budget} < population {population}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back as it is
 
     pop = rng.dirichlet(np.ones(n), size=population)
     if init is not None:
@@ -169,6 +169,25 @@ class RiskControlProblem:
         return self.mu * factor
 
 
+def _a_rl_is_optimal(a_rl: np.ndarray, cov: np.ndarray, mu_eff: float) -> bool:
+    """Whether a_rl minimises f(a) = ||Sigma a||_2 + mu_eff ||a - a_rl||_2 over
+    the simplex, by one matrix-vector product: ||P g||_2 <= mu_eff, with
+    g = Sigma^T Sigma a_rl / ||Sigma a_rl||_2 the gradient of the risk and
+    P = I - 11^T / n the projection onto the directions that keep the sum.
+
+    Sufficient anywhere on the simplex: along any d with sum(d) = 0, f's
+    directional derivative is g.d + mu_eff ||d|| >= (mu_eff - ||P g||) ||d||.
+    Necessary where a_rl is interior, since -P g is then a feasible descent
+    direction.
+    """
+    sigma_a = cov @ a_rl
+    risk = np.linalg.norm(sigma_a)
+    if risk == 0.0:
+        return True  # f(a_rl) = 0, the least f can be
+    g = cov.T @ sigma_a / risk
+    return bool(np.linalg.norm(g - g.mean()) <= mu_eff)
+
+
 @dataclass
 class SolverResult:
     a_ctrl: np.ndarray
@@ -192,9 +211,11 @@ def propose_control(
     If a_rl already satisfies the boundary the adjustment is exactly zero.
     Otherwise DE minimises ||Sigma A||_2 + mu_eff * ||A - a_rl||_2; in
     ``sigma_mode="hard"`` the search stops at the first generation whose
-    incumbent is inside the boundary, in ``"target"`` it runs out the budget.
-    Seeding the population with a_rl guarantees the achieved risk never
-    exceeds sigma_alpha(a_rl).
+    incumbent is inside the boundary, in ``"target"`` it runs out the budget
+    unless a_rl is certified optimal (``_a_rl_is_optimal``). A certified call,
+    in either mode, stops after the first population, which holds a_rl, so
+    it reports ``population`` evaluations. Seeding the population with a_rl
+    guarantees the achieved risk never exceeds sigma_alpha(a_rl).
     """
     if sigma_mode not in ("hard", "target"):
         raise ValueError(f"unknown sigma_mode {sigma_mode!r}")
@@ -219,7 +240,11 @@ def propose_control(
         return risks + mu_eff * deviation
 
     early_stop = None
-    if sigma_mode == "hard":
+    if _a_rl_is_optimal(a_rl, cov, mu_eff):
+        # no later generation can beat a_rl, which the first population holds
+        def early_stop(_x, _value):
+            return True
+    elif sigma_mode == "hard":
         def early_stop(x, _value):
             return sigma_alpha_value(x, cov) <= problem.sigma_s
 

@@ -136,6 +136,24 @@ def test_buffer_capacity_beyond_memory_trains_as_a_ring_of_the_rows_it_gets(tmp_
     assert trained[10**12] == trained[10**6]
 
 
+@pytest.mark.parametrize("name", ["warmup", "batch_size"])
+def test_warmup_or_batch_beyond_the_rows_a_run_pushes_is_a_config_error(name, tmp_path, capsys):
+    # CONFIG trains one episode of 53 steps: it pushes 54 rows, and the last
+    # update check, before the last push, sees 53 of them
+    path = tmp_path / "run.json"
+    for rows, code in ((53, 0), (54, 2)):
+        path.write_text(json.dumps({**CONFIG, "agent": {**CONFIG["agent"], name: rows}}))
+        out = tmp_path / f"train{rows}"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == code, rows
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        if code == 0:
+            header = json.loads(read_bytes(out / "checkpoint.bin").split(b"\n", 2)[1])
+            assert header["update_count"] == 1
+        else:
+            assert f"agent.{name} 54 > the 53 rows" in err, err
+
+
 @pytest.mark.parametrize("kind", ["dc", "mlp"])
 def test_inprocess_backtest_equals_checkpoint_backtest(kind, tmp_path):
     # observer state left over from training must not reach the backtest

@@ -19,18 +19,46 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from portagents import harness
 from portagents.cli import main
 from test_acceptance import PIPELINE_CONFIG
 
 MLP_CONFIG = {**PIPELINE_CONFIG, "observer": {**PIPELINE_CONFIG["observer"], "kind": "mlp"}}
+
+# A small calm-then-crash market, as in the acceptance ablation, on which DE
+# moves a_rl: in the pipeline runs every DE call returns a_rl itself
+CRASH_CONFIG = {
+    "data": {
+        "synth": {
+            "assets": 5,
+            "seed": 77,
+            "regimes": [
+                {"length": 200, "drift": 0.0004, "vol": 0.008, "corr": 0.3},
+                {"length": 60, "drift": -0.002, "vol": 0.035, "corr": 0.6},
+            ],
+        }
+    },
+    "seed": 0,
+    "runs": 1,
+    "max_episode": 1,
+    "strategies": ["single", "triple"],
+    "splits": [0.5, 0.2, 0.3],
+    "agent": {"hidden": [8, 8], "warmup": 32, "batch_size": 16, "buffer_capacity": 2000},
+    "solver": {"budget": 300, "population": 20, "mu": 0.02, "sigma_mode": "target"},
+    "observer": {"kind": "dc", "lookback": 21, "risk_window": 21, "base_risk_quantile": 0.25},
+    "env": {"window": 5},
+    "metrics": {"cov_window": 10},
+}
 
 # (config name, command) -> config
 RUNS = {
     ("pipeline", "compare"): PIPELINE_CONFIG,
     ("pipeline", "ablate"): PIPELINE_CONFIG,
     ("triple-mlp", "compare"): MLP_CONFIG,
+    ("crash", "compare"): CRASH_CONFIG,
     ("pipeline", "train"): PIPELINE_CONFIG,
     ("triple-mlp", "train"): MLP_CONFIG,
     ("pipeline", "backtest"): PIPELINE_CONFIG,
@@ -60,6 +88,10 @@ GOLDEN = {
     ("triple-mlp", "compare"): {
         "comparison.csv": "c5fcbbebf6e41902ec4cebf663173df782babae2c8ed52c68a1429448748eb12",
         "comparison.json": "3a2f33dde8b51e6802756364b9a9b635c9d822268d59ab51aef7788eff47a320",
+    },
+    ("crash", "compare"): {
+        "comparison.csv": "d058c821e34c0037152573ed3b39cc00b3742400b9bc328824adb38cb34082df",
+        "comparison.json": "cf68e60ce15916f9fcdc94cf15e56260fde63363c3d29de5393046fa2f784eaa",
     },
     ("pipeline", "train"): {
         "checkpoint.bin": "7c8dbbffacafb4f8e01b1a2620f9831ff2194d3069a2ae9d3b953ae01cd2d31b",
@@ -162,6 +194,22 @@ def test_reports_match_golden_hashes(name, command, tmp_path):
         pytest.fail(f"{hashes} != {GOLDEN[name, command]}\n{_moved_message(moved)}")
     # reports that hash as before parse as before, unless the fixture is stale
     assert not moved, f"{NUMBERS_PATH.name} is stale\n{_moved_message(moved)}"
+
+
+def test_crash_compare_moves_a_rl(tmp_path, monkeypatch):
+    # the golden runs' one check on DE: a change to the search must move a hash
+    moved = []
+    propose = harness.propose_control
+
+    def recording(problem, *args, **kwargs):
+        result = propose(problem, *args, **kwargs)
+        if result.evaluations:
+            moved.append(np.abs(result.a_final - problem.a_rl).sum() > 1e-9)
+        return result
+
+    monkeypatch.setattr(harness, "propose_control", recording)
+    run_reports("crash", "compare", tmp_path)
+    assert sum(moved) >= 10, f"{sum(moved)} of {len(moved)} DE calls moved a_rl"
 
 
 def test_moved_keys_name_strategy_field_and_change():

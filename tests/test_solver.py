@@ -1,21 +1,25 @@
 """Risk-control solver: simplex projection, differential evolution, control proposals."""
 
+import functools
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from helpers import random_psd, random_simplex
+from portagents import solver
 from portagents.config import RunConfig
 from portagents.errors import BudgetTooSmall, DimensionMismatch, NonFiniteInput
 from portagents.market_data import rolling_covariance
 from portagents.metrics import sigma_alpha_value
 from portagents.solver import (
     RiskControlProblem,
+    _a_rl_is_optimal,
     _mutation_indices,
     differential_evolution,
     propose_control,
@@ -359,9 +363,9 @@ def slsqp_min_risk(cov, starts):
     return best
 
 
-def test_de_close_to_slsqp_oracle_on_crash_market():
-    # the crash-overlay shape: 5 assets, 21-day rolling covariances of the
-    # ablation's calm-then-crash market, budget 300, population 20
+@functools.cache
+def crash_series():
+    """The ablation's calm-then-crash market: 5 assets, 600 calm days, then 150 of a crash."""
     spec = {
         "assets": 5,
         "seed": 77,
@@ -370,7 +374,13 @@ def test_de_close_to_slsqp_oracle_on_crash_market():
             {"length": 150, "drift": -0.002, "vol": 0.035, "corr": 0.6},
         ],
     }
-    series = RunConfig(data={"synth": spec}).load_series()
+    return RunConfig(data={"synth": spec}).load_series()
+
+
+def test_de_close_to_slsqp_oracle_on_crash_market():
+    # the crash-overlay shape: 21-day rolling covariances of the crash
+    # market, budget 300, population 20
+    series = crash_series()
     rng = np.random.default_rng(5)
     ratios = []
     for k, day in enumerate(np.linspace(30, 745, 50).astype(int)):
@@ -385,3 +395,170 @@ def test_de_close_to_slsqp_oracle_on_crash_market():
     assert ratios.min() > 1.0 - 1e-3  # the oracle really is a lower bound
     assert np.sum(ratios > 1.05) <= 1
     assert ratios.mean() < 1.01
+
+
+# -- the optimality certificate of a_rl ----------------------------------------------
+
+
+def penalised(a, a_rl, cov, mu):
+    """The solver's objective ||Sigma a||_2 + mu ||a - a_rl||_2 at one point."""
+    return float(np.linalg.norm(cov @ a) + mu * np.linalg.norm(a - a_rl))
+
+
+def projected_risk_gradient(a_rl, cov):
+    """P g with g the gradient of ||Sigma a||_2 at a_rl and P = I - 11^T/n."""
+    g = cov.T @ cov @ a_rl / np.linalg.norm(cov @ a_rl)
+    return (np.eye(a_rl.size) - 1.0 / a_rl.size) @ g
+
+
+def slsqp_min_penalised(a_rl, cov, mu, starts):
+    """min of the solver's objective over the simplex by SLSQP from each
+    start, each answer projected back onto the simplex before it is scored."""
+    n = a_rl.size
+
+    def jac(a):
+        s, d = cov @ a, a - a_rl
+        dn = np.linalg.norm(d)
+        return cov.T @ s / np.linalg.norm(s) + (mu * d / dn if dn > 0 else 0.0)
+
+    best = np.inf
+    for x0 in starts:
+        res = minimize(
+            lambda a: penalised(a, a_rl, cov, mu),
+            x0,
+            jac=jac,
+            method="SLSQP",
+            bounds=[(0.0, 1.0)] * n,
+            constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0, "jac": lambda a: np.ones(n)}],
+            options={"ftol": 1e-16, "maxiter": 500},
+        )
+        best = min(best, penalised(simplex_repair(res.x), a_rl, cov, mu))
+    return best
+
+
+def certificate_cases():
+    """(cov, a_rl) pairs: random covariances of 3 to 8 assets and 21-day
+    covariances of the crash market, each with an interior a_rl."""
+    rng = np.random.default_rng(2025)
+    cases = [(random_psd(rng, n, scale=0.3), random_simplex(rng, n)) for n in (3, 5, 8)]
+    series = crash_series()
+    for day in (100, 400, 610, 650, 745):
+        cases.append((rolling_covariance(series, t=day, k=21), random_simplex(rng, 5)))
+    return cases
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 0.9, 1.1, 2.0, 10.0])
+def test_certificate_against_slsqp_and_descent_oracles(ratio):
+    # mu_eff = ratio * ||P g||: the test passes exactly when ratio >= 1
+    for cov, a_rl in certificate_cases():
+        pg = projected_risk_gradient(a_rl, cov)
+        mu = ratio * np.linalg.norm(pg)
+        f_rl = penalised(a_rl, a_rl, cov, mu)
+        certified = _a_rl_is_optimal(a_rl, cov, mu)
+        assert certified == (ratio >= 1.0)
+        if certified:
+            # nothing on the simplex is better than a_rl
+            starts = [a_rl, np.full(a_rl.size, 1.0 / a_rl.size), *np.eye(a_rl.size)[:2]]
+            assert slsqp_min_penalised(a_rl, cov, mu, starts) >= f_rl - 1e-12
+        else:
+            # an interior a_rl that fails the test has a feasible descent direction
+            step = -1e-3 * a_rl.min() * pg / np.linalg.norm(pg)
+            assert penalised(a_rl + step, a_rl, cov, mu) < f_rl
+
+
+def test_certificate_holds_at_zero_risk():
+    assert _a_rl_is_optimal(np.array([0.5, 0.5]), np.zeros((2, 2)), 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    scale=st.sampled_from([1e-3, 0.1, 1.0]),
+    problem_seed=st.integers(0, 2**32 - 1),
+    ratio=st.floats(1.0, 50.0),
+    trend=st.sampled_from([-1.0, 0.0, 1.0]),
+    boundary=st.floats(0.0, 0.99),
+    sigma_mode=st.sampled_from(["hard", "target"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_call_stops_after_first_population(
+    n, scale, problem_seed, ratio, trend, boundary, sigma_mode, seed
+):
+    rng = np.random.default_rng(problem_seed)
+    cov = random_psd(rng, n, scale=scale)
+    a_rl = random_simplex(rng, n)
+    factor = 0.01 if trend < 0 else 1.0  # the trend's scaling of mu
+    mu = ratio * np.linalg.norm(projected_risk_gradient(a_rl, cov)) / factor
+    sigma_s = boundary * sigma_alpha_value(a_rl, cov)
+    problem = RiskControlProblem(a_rl, cov, sigma_s=sigma_s, mu=mu, v_m=np.array([trend, 0.0, 0.0]))
+    mu_eff = problem.effective_mu()
+    assume(_a_rl_is_optimal(a_rl, cov, mu_eff))
+
+    result = propose_control(problem, budget=300, seed=seed, population=20, sigma_mode=sigma_mode)
+    assert result.evaluations == 20
+
+    # the full search finds nothing better than the first population's best
+    full = differential_evolution(
+        lambda c: np.linalg.norm(c @ cov.T, axis=1) + mu_eff * np.linalg.norm(c - a_rl, axis=1),
+        n,
+        budget=300,
+        seed=seed,
+        population=20,
+        init=[a_rl, np.full(n, 1.0 / n)],
+        early_stop=None,
+    )
+    assert full.evaluations == 300
+    assert np.abs(result.a_final - full.x).sum() <= 1e-15
+    assert np.abs(result.a_final - a_rl).sum() <= 1e-15
+
+
+def traced_control(problem, monkeypatch, **kwargs):
+    """propose_control's result and a SHA-256 of every candidate matrix its
+    DE evaluated and of the values it got, in order."""
+    digest = hashlib.sha256()
+    run_de = solver.differential_evolution
+
+    def recording(objective, *args, **kw):
+        def traced_objective(candidates):
+            values = objective(candidates)
+            digest.update(candidates.tobytes())
+            digest.update(values.tobytes())
+            return values
+
+        return run_de(traced_objective, *args, **kw)
+
+    monkeypatch.setattr(solver, "differential_evolution", recording)
+    return propose_control(problem, **kwargs), digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "sigma_mode,boundary,evaluations,a_final,digest",
+    [
+        (
+            "target",
+            0.0,
+            300,
+            [0.09120861727817622, 0.4384908356098705, 0.03361148403518435, 0.43668906307676886, 0.0],
+            "03f5439035971c6dc1e099d835784fa8ef6421bea0507e5f6c122167037de60c",
+        ),
+        (
+            "hard",
+            0.5,
+            100,
+            [0.19789782868729175, 0.34961957413711575, 0.1508420905460893, 0.30164050662950326, 0.0],
+            "2f234919b98a2da399f6743f193786606b23a33c27390d90ca006b452974ed8f",
+        ),
+    ],
+)
+def test_uncertified_call_searches_as_before(sigma_mode, boundary, evaluations, a_final, digest, monkeypatch):
+    # taken before the certificate existed: a call that fails the test keeps
+    # its evaluation count, its answer and every candidate of its search
+    rng = np.random.default_rng(2024)
+    cov = random_psd(rng, 5, scale=0.3)
+    a_rl = random_simplex(rng, 5)
+    problem = RiskControlProblem(a_rl, cov, sigma_s=boundary * sigma_alpha_value(a_rl, cov), mu=0.05)
+    assert not _a_rl_is_optimal(a_rl, cov, problem.effective_mu())
+    result, got = traced_control(problem, monkeypatch, budget=300, seed=17, sigma_mode=sigma_mode)
+    assert result.evaluations == evaluations
+    assert result.a_final.tolist() == a_final
+    assert got == digest
