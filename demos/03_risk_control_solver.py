@@ -18,7 +18,8 @@ from portagents.solver import (
     simplex_repair,
 )
 
-# simplex repair: clip negatives, renormalise, fall back to uniform
+# simplex repair: the Euclidean projection onto the simplex (sort, then
+# threshold); an all-zero vector projects to the uniform point
 print("repair [0.2, -0.1, 0.9] ->", np.round(simplex_repair([0.2, -0.1, 0.9]), 6))
 print("repair [0, 0, 0]       ->", simplex_repair([0.0, 0.0, 0.0]))
 

@@ -3,17 +3,28 @@ gradients, Adam, and the header and bytes that a checkpoint holds per net.
 
 Everything is float64. Each net keeps all its parameters in one flat
 vector, and every layer's weights and bias are views into it; gradients and
-Adam moments are flat vectors in the same layout. A stack of k nets keeps
-them as k rows and runs them with one matmul per layer. Inputs may be single
-vectors ``(in,)`` or batches ``(B, in)`` (a stack needs a batch); parameter
+Adam moments are flat vectors in the same layout. A net works out that
+layout once, as a (start, stop, shape) triple per array, so ``views`` only
+slices. A stack of k nets keeps them as k rows and runs them with one matmul
+per layer; its ``rows()`` are built once. Inputs may be single vectors
+``(in,)`` or batches ``(B, in)`` (a stack needs a batch); parameter
 gradients are summed over the batch, so callers implementing a mean loss
 scale the output gradient by ``1/B`` themselves.
+
+``backward`` writes the parameter gradients into a vector the caller owns
+(a fresh one if it passes none), through views that the net keeps for the
+last vector it was given, so a learner that passes the same vector every
+step allocates and reshapes nothing. ``params=False`` computes the input
+gradient alone, for a net that only passes a gradient back to another one;
+``inputs=False`` skips the first layer's input gradient, which a net whose
+input is data never reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +36,12 @@ ACTIVATIONS = ("relu", "tanh", "linear")
 def softmax(logits):
     """Numerically stable softmax along the last axis (max subtracted)."""
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NonFiniteInput("softmax received non-finite logits")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = z - z.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def softmax_input_grad(s, grad_out):
@@ -39,10 +51,11 @@ def softmax_input_grad(s, grad_out):
 
 
 def _activate(z, kind):
+    # z is a fresh pre-activation, so it is overwritten
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if kind == "linear":
         return z
     raise ValueError(f"unknown activation {kind!r}")
@@ -84,8 +97,18 @@ class DenseNet:
         if flat.ndim not in (1, 2) or flat.shape[-1] != size:
             raise ShapeMismatch(f"a {self.sizes} net has {size} parameters, not {flat.shape}")
         self.flat = flat
+        # (start, stop, shape) of w0, b0, w1, b1, ... along flat's last axis
+        self._layout, pos = [], 0
+        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
+            for shape in ((n_out, n_in), (1, n_out) if flat.ndim == 2 else (n_out,)):
+                size = math.prod(shape)
+                self._layout.append((pos, pos + size, shape))
+                pos += size
         views = self.views(flat)
         self.layers = [Layer(w, b, act) for w, b, act in zip(views[::2], views[1::2], activations)]
+        self._rows = None
+        # the views that backward last wrote a gradient vector through
+        self._grad_vector = self._grad_views = None
 
     @classmethod
     def create(cls, sizes, activations, rng) -> "DenseNet":
@@ -107,24 +130,22 @@ class DenseNet:
             raise ShapeMismatch("only nets of one shape stack")
         return cls(nets[0].sizes, nets[0].activations, np.stack([n.flat for n in nets]))
 
-    def rows(self) -> list["DenseNet"]:
-        """Each net of a stack, over a view of its row of ``flat``."""
-        return [DenseNet(self.sizes, self.activations, row) for row in self.flat]
+    def rows(self) -> tuple["DenseNet", ...]:
+        """Each net of a stack, over a view of its row of ``flat``; built on
+        the first call and kept (a copy builds its own)."""
+        if self._rows is None:
+            self._rows = tuple(DenseNet(self.sizes, self.activations, row) for row in self.flat)
+        return self._rows
 
     @property
     def input_dim(self) -> int:
         return self.sizes[0]
 
     def views(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Views of a vector (or a stack of rows) in the ``flat`` layout,
-        shaped w0, b0, w1, b1, ..."""
-        lead, out, pos = vector.shape[:-1], [], 0
-        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
-            for shape in ((n_out, n_in), (1, n_out) if lead else (n_out,)):
-                size = math.prod(shape)
-                out.append(vector[..., pos : pos + size].reshape(*lead, *shape))
-                pos += size
-        return out
+        """Views of a vector shaped like ``flat`` in its layout, shaped w0,
+        b0, w1, b1, ..."""
+        lead = vector.shape[:-1]
+        return [vector[..., start:stop].reshape(*lead, *shape) for start, stop, shape in self._layout]
 
     def params(self) -> list[np.ndarray]:
         """Parameter arrays in a fixed order: w0, b0, w1, b1, ..."""
@@ -138,13 +159,12 @@ class DenseNet:
         return self.copy()
 
 
-@dataclass
-class Tape:
+class Tape(NamedTuple):
     """Activations recorded by ``forward`` for one net evaluation."""
 
     net: DenseNet
     x: np.ndarray
-    activations: list = field(default_factory=list)
+    activations: list
 
 
 def forward(net: DenseNet, x):
@@ -154,7 +174,7 @@ def forward(net: DenseNet, x):
     maps a (B, in) batch to (k, B, out).
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInput("forward received non-finite input")
     if x.shape[-1] != net.input_dim:
         raise DimensionMismatch(
@@ -162,21 +182,24 @@ def forward(net: DenseNet, x):
         )
     if x.ndim < net.layers[0].w.ndim - 1:
         raise DimensionMismatch("a stack of nets takes a batch of rows, not one vector")
-    tape = Tape(net=net, x=x)
-    a = x
+    activations, a = [], x
     for layer in net.layers:
-        z = a @ layer.w.mT + layer.b
+        z = a @ layer.w.mT
+        z += layer.b
         a = _activate(z, layer.activation)
-        tape.activations.append(a)
-    return a, tape
+        activations.append(a)
+    return a, Tape(net, x, activations)
 
 
-def backward(net: DenseNet, tape: Tape, output_gradient):
+def backward(net: DenseNet, tape: Tape, output_gradient, out=None, *, params=True, inputs=True):
     """Reverse-mode gradients.
 
-    Returns ``(param_grad, input_grad)`` where ``param_grad`` has the
-    layout and shape of ``net.flat``. Parameter gradients are summed over
-    the batch.
+    Returns ``(param_grad, input_grad)``. ``param_grad`` is ``out``, a
+    vector shaped like ``net.flat`` that every parameter gradient is written
+    into (a fresh one when ``out`` is None); parameter gradients are summed
+    over the batch. With ``params=False`` no parameter gradient is computed
+    and ``param_grad`` is None; with ``inputs=False`` the first layer passes
+    no gradient back and ``input_grad`` is None.
     """
     if tape.net is not net:
         raise StaleTape("tape was recorded on a different net")
@@ -185,21 +208,31 @@ def backward(net: DenseNet, tape: Tape, output_gradient):
         raise ShapeMismatch(
             f"output gradient shape {g.shape} != output shape {tape.activations[-1].shape}"
         )
-    param_grad = np.empty_like(net.flat)
-    grads = net.views(param_grad)
+    if params:
+        if out is None:
+            out = np.empty_like(net.flat)
+        elif out.shape != net.flat.shape:
+            raise ShapeMismatch(f"gradient vector {out.shape} != parameter vector {net.flat.shape}")
+        if net._grad_vector is not out:  # a learner passes the same one every step
+            net._grad_vector, net._grad_views = out, net.views(out)
+        grads = net._grad_views
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        a = tape.activations[i]
-        gz = _activation_input_grad(a, g, layer.activation)
-        prev = tape.x if i == 0 else tape.activations[i - 1]
-        if gz.ndim == 1:
-            grads[2 * i][...] = np.outer(gz, prev)
-            grads[2 * i + 1][...] = gz
-        else:
-            grads[2 * i][...] = gz.mT @ prev
-            grads[2 * i + 1][...] = gz.sum(axis=-2, keepdims=True)
-        g = gz @ layer.w
-    return param_grad, g
+        gz = _activation_input_grad(tape.activations[i], g, layer.activation)
+        if params:
+            # BLAS may round a product with a strided input (a column slice)
+            # differently in the last bit, so the gradient reads a dense copy
+            prev = np.ascontiguousarray(tape.x) if i == 0 else tape.activations[i - 1]
+            gw, gb = grads[2 * i], grads[2 * i + 1]
+            if gz.ndim == 1:
+                np.multiply(gz[:, None], prev, out=gw)  # np.outer(gz, prev)
+                gb[...] = gz
+            else:
+                np.matmul(gz.mT, prev, out=gw)
+                gz.sum(axis=-2, keepdims=gb.ndim == gz.ndim, out=gb)
+        if i or inputs:
+            g = gz @ layer.w
+    return (out if params else None), (g if inputs else None)
 
 
 @dataclass

@@ -249,7 +249,7 @@ class MlpObserver:
         out, tape = nn.forward(self.net, x)
         err = out - y
         loss = float(np.mean(err * err))
-        grad, _ = nn.backward(self.net, tape, 2.0 * err / pairs)
+        grad, _ = nn.backward(self.net, tape, 2.0 * err / pairs, inputs=False)
         nn.adam_step(self.opt, self.net.flat, grad)
         return {"loss": loss, "pairs": pairs}
 

@@ -9,6 +9,7 @@ and smoothing noise are injected on the logits before the softmax.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -98,22 +99,38 @@ def episode_reward(growth_rates, jsd_terms, c0: float, config: RewardConfig) -> 
     )
 
 
+class Batch(tuple):
+    """``(obs, a_final, next_obs, reward)``: column views of one array of
+    ring rows laid out ``[obs | a_final | next_obs | reward]``.
+    ``obs_action`` is ``[obs | a_final]``, the critics' input, as one more
+    view of the same rows."""
+
+    def __new__(cls, rows: np.ndarray, obs_dim: int, n_assets: int):
+        a, b, c = obs_dim, obs_dim + n_assets, 2 * obs_dim + n_assets
+        batch = super().__new__(cls, (rows[:, :a], rows[:, a:b], rows[:, b:c], rows[:, c:]))
+        batch.obs_action = rows[:, :b]
+        return batch
+
+
 class ReplayBuffer:
-    """Ring buffer of (obs, a_final, next_obs, reward) rows, one
-    preallocated array per column, with a seeded uniform sampler (no
-    replacement per batch). Row i is the i-th stored step until the ring
-    wraps, after which each push overwrites the oldest row."""
+    """Ring buffer of (obs, a_final, next_obs, reward) rows with a seeded
+    uniform sampler (no replacement per batch). Row i is the i-th stored step
+    until the ring wraps, after which each push overwrites the oldest row.
+
+    The ring is one preallocated ``(capacity, 2 * obs_dim + n_assets + 1)``
+    array laid out ``[obs | a_final | next_obs | reward]``; ``obs``,
+    ``a_final``, ``next_obs`` and ``reward`` are views of its columns, and a
+    batch is one fancy index of its rows."""
 
     def __init__(self, capacity: int, obs_dim: int, n_assets: int, seed=0):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
+        self.obs_dim, self.n_assets = obs_dim, n_assets
         self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         # np.zeros maps its pages lazily: rows never written hold no memory
-        self.obs = np.zeros((capacity, obs_dim))
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.a_final = np.zeros((capacity, n_assets))
-        self.reward = np.zeros((capacity, 1))
+        self.ring = np.zeros((capacity, 2 * obs_dim + n_assets + 1))
+        self.obs, self.a_final, self.next_obs, self.reward = Batch(self.ring, obs_dim, n_assets)
         self._size = 0
         self._next = 0
 
@@ -129,14 +146,14 @@ class ReplayBuffer:
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def sample(self, batch_size: int) -> Batch:
         """``(obs, a_final, next_obs, reward)`` rows of a uniform batch."""
         if batch_size > self._size:
             raise InsufficientBuffer(
                 f"batch {batch_size} > buffer size {self._size}"
             )
         idx = self.rng.choice(self._size, size=batch_size, replace=False)
-        return self.obs[idx], self.a_final[idx], self.next_obs[idx], self.reward[idx]
+        return Batch(self.ring[idx], self.obs_dim, self.n_assets)
 
 
 @dataclass
@@ -224,7 +241,7 @@ class Td3Agent:
         """r + gamma * min(Q1', Q2') with smoothed target actions."""
         logits, _ = nn.forward(self.actor_target, obs_next)
         noise = self.config.sigma_smooth * self.noise_rng.standard_normal(logits.shape)
-        noise = np.clip(noise, -self.config.noise_clip, self.config.noise_clip)
+        np.clip(noise, -self.config.noise_clip, self.config.noise_clip, out=noise)
         actions = nn.softmax(logits + noise)
         q, _ = nn.forward(self.critics_target, np.concatenate([obs_next, actions], axis=1))
         return rewards + self.config.gamma * np.minimum(q[0], q[1])
@@ -235,18 +252,30 @@ class Td3Agent:
             target.flat *= 1.0 - tau
             target.flat += tau * live.flat
 
+    @functools.cached_property
+    def _grads(self) -> tuple[np.ndarray, np.ndarray]:
+        """The critics' and the actor's gradient vectors, rewritten by each
+        update; a snapshot leaves them out and builds its own if it learns."""
+        return np.empty_like(self.critics.flat), np.empty_like(self.actor.flat)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_grads"}
+
     def update(self, buffer: ReplayBuffer) -> dict:
         """One TD3 step on a ``config.batch_size`` sample: both critics every
         call, actor + target nets every ``policy_delay``-th call."""
         bs = self.config.batch_size
-        obs, actions, obs_next, rewards = buffer.sample(bs)
+        batch = buffer.sample(bs)
+        obs, _, obs_next, rewards = batch
+        critics_grad, actor_grad = self._grads
 
         targets = self._td_targets(rewards, obs_next)
-        q, tape = nn.forward(self.critics, np.concatenate([obs, actions], axis=1))
+        q, tape = nn.forward(self.critics, batch.obs_action)
         err = q - targets
-        loss1, loss2 = (float(np.mean(e * e)) for e in err)
-        grad, _ = nn.backward(self.critics, tape, 2.0 * err / bs)
-        nn.adam_step(self.critics_opt, self.critics.flat, grad)
+        # each critic's mean squared error, summed as np.mean sums it
+        loss1, loss2 = ((err * err).sum(axis=(1, 2)) / bs).tolist()
+        nn.backward(self.critics, tape, 2.0 * err / bs, critics_grad, inputs=False)
+        nn.adam_step(self.critics_opt, self.critics.flat, critics_grad)
 
         self.update_count += 1
         out = {
@@ -258,16 +287,15 @@ class Td3Agent:
         if self.update_count % self.config.policy_delay == 0:
             logits, actor_tape = nn.forward(self.actor, obs)
             acts = nn.softmax(logits)
-            q_in_pi = np.concatenate([obs, acts], axis=1)
             critic1 = self.critics.rows()[0]
-            q, critic_tape = nn.forward(critic1, q_in_pi)
+            q, critic_tape = nn.forward(critic1, np.concatenate([obs, acts], axis=1))
             # ascend Q: minimise -mean(Q)
-            _, d_in = nn.backward(critic1, critic_tape, np.full_like(q, -1.0 / bs))
+            _, d_in = nn.backward(critic1, critic_tape, np.full_like(q, -1.0 / bs), params=False)
             d_logits = nn.softmax_input_grad(acts, d_in[:, self.obs_dim :])
-            grad, _ = nn.backward(self.actor, actor_tape, d_logits)
-            nn.adam_step(self.actor_opt, self.actor.flat, grad)
+            nn.backward(self.actor, actor_tape, d_logits, actor_grad, inputs=False)
+            nn.adam_step(self.actor_opt, self.actor.flat, actor_grad)
             self._polyak()
-            out["actor_loss"] = float(-np.mean(q))
+            out["actor_loss"] = float(-q.mean())
             out["did_policy_update"] = True
         return out
 

@@ -502,3 +502,105 @@ def test_stack_is_bit_equal_to_each_net_alone(seed, k, sizes, batch, data):
     # one vector would broadcast against the (k, 1, out) biases
     with pytest.raises(DimensionMismatch):
         nn.forward(stack, x[0])
+
+
+# -- cached layout, caller-owned gradient vectors, input-only backward --------------
+
+
+def per_call_views(net, vector):
+    """The layout as ``views`` rebuilt it on every call before nets cached it."""
+    lead, out, pos = vector.shape[:-1], [], 0
+    for n_in, n_out in zip(net.sizes, net.sizes[1:]):
+        for shape in ((n_out, n_in), (1, n_out) if lead else (n_out,)):
+            size = math.prod(shape)
+            out.append(vector[..., pos : pos + size].reshape(*lead, *shape))
+            pos += size
+    return out
+
+
+@st.composite
+def nets_and_batches(draw):
+    """A single net or a stack of 2 or 3, its rng, and an input batch
+    shape: one vector (single nets only) or a batch of rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    sizes = draw(st.lists(st.integers(1, 24), min_size=2, max_size=4))
+    acts = draw(st.lists(st.sampled_from(nn.ACTIVATIONS), min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    k = draw(st.sampled_from([None, 2, 3]))
+    batch = draw(st.integers(1 if k else 0, 30))
+    rng = np.random.default_rng(seed)
+    net = nn.DenseNet.create(sizes, acts, rng)
+    if k:
+        net = nn.DenseNet.stack([net] + [nn.DenseNet.create(sizes, acts, rng) for _ in range(k - 1)])
+    return net, rng, (sizes[0],) if batch == 0 else (batch, sizes[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=nets_and_batches())
+def test_one_sided_backwards_give_the_full_backwards_gradients(case):
+    net, rng, shape = case
+    out, tape = nn.forward(net, rng.normal(size=shape))
+    g_out = rng.normal(size=out.shape)
+    grad, d_in = nn.backward(net, tape, g_out)
+    none, d_in_only = nn.backward(net, tape, g_out, params=False)
+    assert none is None
+    assert np.array_equal(d_in_only, d_in)
+    grad_only, none = nn.backward(net, tape, g_out, inputs=False)
+    assert none is None
+    assert np.array_equal(grad_only, grad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=nets_and_batches())
+def test_backward_into_a_reused_vector_equals_fresh_ones(case):
+    net, rng, shape = case
+    twin = net.copy()  # its fresh gradients leave the views net keeps alone
+    reused = np.full_like(net.flat, np.nan)  # an entry left unwritten stays NaN
+    for _ in range(2):  # the second call writes through the views the first kept
+        x = rng.normal(size=shape)
+        out, tape = nn.forward(net, x)
+        g_out = rng.normal(size=out.shape)
+        grad, d_in = nn.backward(net, tape, g_out, reused)
+        fresh, fresh_d_in = nn.backward(twin, nn.forward(twin, x)[1], g_out)
+        assert grad is reused
+        assert np.array_equal(reused, fresh) and np.array_equal(d_in, fresh_d_in)
+        assert not any(np.shares_memory(reused, a) for a in (fresh, net.flat, tape.x, d_in, *tape.activations))
+    # a fresh vector on the same net, then the reused one again
+    fresh, _ = nn.backward(net, tape, g_out)
+    np.copyto(reused, np.nan)
+    assert np.array_equal(nn.backward(net, tape, g_out, reused)[0], fresh)
+    assert not np.shares_memory(reused, fresh)
+    with pytest.raises(ShapeMismatch):
+        nn.backward(net, tape, g_out, np.zeros(net.flat.size + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=nets_and_batches())
+def test_cached_views_equal_the_per_call_layout(case):
+    net, rng, _ = case
+    vector = rng.normal(size=net.flat.shape)
+    for cached, rebuilt in zip(net.views(vector), per_call_views(net, vector), strict=True):
+        assert cached.shape == rebuilt.shape and np.shares_memory(cached, vector)
+        assert np.array_equal(cached, rebuilt)
+    assert [p.shape for p in net.params()] == [p.shape for p in per_call_views(net, net.flat)]
+    if net.flat.ndim == 2:
+        assert net.rows() is net.rows()  # built once
+        assert all(np.shares_memory(row.flat, net.flat) for row in net.rows())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=nets_and_batches(), extra=st.integers(1, 9), data=st.data())
+def test_a_column_slice_input_gives_the_bits_of_its_dense_copy(case, extra, data):
+    # the replay ring hands the critics [obs | a_final] as a slice of wider rows
+    net, rng, shape = case
+    if len(shape) == 1:
+        shape = (1, *shape)
+    start = data.draw(st.integers(0, extra), label="start")
+    rows = rng.normal(size=(shape[0], shape[1] + extra))
+    sliced = rows[:, start : start + shape[1]]
+    dense = sliced.copy()
+    out, tape = nn.forward(net, sliced)
+    dense_out, dense_tape = nn.forward(net, dense)
+    assert np.array_equal(out, dense_out)
+    g_out = rng.normal(size=out.shape)
+    for got, want in zip(nn.backward(net, tape, g_out), nn.backward(net, dense_tape, g_out)):
+        assert np.array_equal(got, want)

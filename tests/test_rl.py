@@ -202,6 +202,21 @@ def test_buffer_sampling_deterministic():
     np.testing.assert_array_equal(a.sample(8)[3], b.sample(8)[3])
 
 
+def test_buffer_sample_is_one_gather_of_the_ring():
+    buf = fill_buffer(30, seed=3)
+    columns = (buf.obs, buf.a_final, buf.next_obs, buf.reward)
+    assert all(np.shares_memory(column, buf.ring) for column in columns)
+    draws = copy.deepcopy(buf.rng)
+    batch = buf.sample(8)
+    idx = draws.choice(30, size=8, replace=False)  # what a per-column gather took
+    for got, column in zip(batch, columns, strict=True):
+        assert np.array_equal(got, column[idx]) and not np.shares_memory(got, buf.ring)
+    # the critics' input [obs | a_final] is a view of the same gathered rows
+    assert np.array_equal(batch.obs_action, np.concatenate(batch[:2], axis=1))
+    assert all(np.shares_memory(column, batch.obs_action) for column in batch[:2])
+    assert buf.rng.bit_generator.state == draws.bit_generator.state
+
+
 # -- TD3 agent ----------------------------------------------------------------------
 
 
@@ -338,8 +353,18 @@ def test_agent_save_load_roundtrip(tmp_path):
     assert np.any(agent.actor.layers[0].w)
 
 
+def learned_state(agent: Td3Agent) -> list[bytes]:
+    """Every parameter and Adam vector of an agent, as bytes."""
+    nets = [getattr(agent, n).flat for n in ("actor", "actor_target", "critics", "critics_target")]
+    opts = [a for opt in (agent.actor_opt, agent.critics_opt) for a in (opt.m, opt.v)]
+    return [a.tobytes() for a in nets + opts]
+
+
 def test_snapshot_keeps_each_net_tied_to_its_own_vector():
     agent = Td3Agent(obs_dim=5, n_assets=3, config=SMALL, seed=19)
+    buf = fill_buffer(32)
+    for _ in range(2):  # the live agent has built its critic rows and gradient vectors
+        agent.update(buf)
     snap = agent.snapshot()
     for net in six_nets(snap).values():
         assert_layers_view(net)
@@ -347,10 +372,29 @@ def test_snapshot_keeps_each_net_tied_to_its_own_vector():
         net = getattr(snap, name)
         assert all(np.shares_memory(p, net.flat) for p in net.params())
         assert not np.shares_memory(net.flat, getattr(agent, name).flat)
+    # the live agent's cached rows and gradient vectors are its own, and a
+    # snapshot carries no copy of the gradient vectors
+    assert "_grads" not in vars(snap)
+    # nor the views its nets' backward wrote them through
+    assert all(getattr(snap, n)._grad_vector is None for n in ("actor", "critics"))
+    assert agent.critics._grad_vector is agent._grads[0]
+    snap_arrays = [row.flat for row in (*snap.critics.rows(), *snap.critics_target.rows())]
+    for live in (*agent.critics.rows(), *agent.critics_target.rows()):
+        assert not any(np.shares_memory(live.flat, a) for a in snap_arrays)
+    snap_arrays += [snap.actor.flat, snap.critics.flat]
+    assert not any(np.shares_memory(g, a) for g in agent._grads for a in snap_arrays)
     w0 = snap.actor.layers[0].w.copy()
     nn.adam_step(snap.actor_opt, snap.actor.flat, np.ones_like(snap.actor.flat))
     assert np.all(snap.actor.layers[0].w < w0)
     np.testing.assert_array_equal(agent.actor.layers[0].w, w0)
+    # further live updates leave the snapshot's bytes alone
+    before = learned_state(snap)
+    for _ in range(3):
+        agent.update(buf)
+    assert learned_state(snap) == before
+    # a snapshot that learns builds gradient vectors of its own
+    snap.update(buf)
+    assert not any(np.shares_memory(g, h) for g in snap._grads for h in agent._grads)
 
 
 # -- oracle: the learner as it was with a list buffer of Transition objects and
